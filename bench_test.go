@@ -331,44 +331,6 @@ func BenchmarkRecordVsReplay(b *testing.B) {
 	})
 }
 
-// BenchmarkActorLearner measures end-to-end 4-core CHROME throughput under
-// each learner path and actor shard count (sim_MIPS). On a single-CPU host
-// the par mode pays the channel handoff without spare cores to win it back;
-// the honest numbers still bound the protocol overhead, and the shard sweep
-// bounds the per-core staging plus k-way merge cost on top of it.
-func BenchmarkActorLearner(b *testing.B) {
-	p, err := workload.ByName("gcc")
-	if err != nil {
-		b.Fatal(err)
-	}
-	cases := []struct {
-		name   string
-		mode   string
-		shards int
-	}{
-		{"inline", "inline", 0},
-		{"seq", "seq", 0},
-		{"par", "par", 0},
-		{"par-shards1", "par", 1},
-		{"par-shards2", "par", 2},
-		{"par-shards4", "par", 4},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			sc := benchScale()
-			sc.ActorLearner = c.mode
-			sc.ActorShards = c.shards
-			var instructions uint64
-			for i := 0; i < b.N; i++ {
-				res := experiments.RunMixPublic(workload.HomogeneousMix(p, 4), 4,
-					experiments.CHROMEScheme(experiments.ChromeConfig()), experiments.PFDefault(), sc)
-				instructions += res.TotalInstructions.Uint64()
-			}
-			reportMIPS(b, instructions)
-		})
-	}
-}
-
 // BenchmarkEndToEnd4Core measures full-system simulation throughput
 // (instructions simulated per wall-clock second appear as the inverse of
 // ns/op x instructions).
@@ -418,7 +380,6 @@ func BenchmarkEndToEnd4CoreReplay(b *testing.B) {
 // against the LRU baseline.
 func benchmarkObjCache(b *testing.B, pol string) {
 	c := objcache.New(objcache.Config{Shards: 1, CapacityBytes: 8 << 20, Policy: pol, Seed: 1})
-	defer c.Close()
 	const keys = 8192
 	names := make([]string, keys)
 	vals := make([][]byte, keys)

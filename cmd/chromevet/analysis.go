@@ -100,12 +100,7 @@ func Analyzers() []*Analyzer {
 		analyzerFrozenShare(),
 		analyzerUnits(),
 		analyzerHwWidth(),
-		analyzerSnapshotRO(),
-		analyzerMsgOwn(),
-		analyzerLearnerWrite(),
-		analyzerShardOwn(),
 		analyzerJoinSync(),
-		analyzerStaleBound(),
 		analyzerGuardedBy(),
 		analyzerLockOrder(),
 		analyzerHotBlock(),

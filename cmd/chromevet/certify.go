@@ -10,17 +10,19 @@ import (
 	"strings"
 )
 
-// This file holds the shared machinery of the certified actor/learner
-// analyzer family (snapshotro, msgown, learnerwrite): module-wide
-// annotation collection — the annotated declarations usually live in
-// internal/chrome while the code under analysis may sit anywhere in the
-// module — and interprocedural parameter-mutation summaries, the
-// write-side twin of aliasshare's retention summaries.
+// This file holds the module-wide annotation tables shared by the
+// guardedby/lockorder analyzers (DESIGN.md §11): guarded fields
+// ("//chromevet:guardedby mu"), ranked mutexes ("//chromevet:lockrank N"),
+// and caller-holds method summaries ("//chromevet:locked mu"). The
+// annotated declarations may live in any package while the code under
+// analysis sits anywhere in the module.
 //
-// Annotated declarations are keyed by their declaration position
-// (token.Pos under the loader's shared FileSet): positions survive generic
+// Each table is keyed by the declaring identifier's position (token.Pos
+// under the loader's shared FileSet): positions survive generic
 // instantiation (an instantiated method or field reports its origin
-// declaration's position), which object identity does not.
+// declaration's position), which object identity does not. Annotation
+// errors travel in the value (bad != "") so only the declaring package's
+// pass reports them.
 
 // modulePackages returns every module package the loader has loaded so far
 // plus p itself, sorted by import path. Analyzers call it after their
@@ -44,210 +46,6 @@ func modulePackages(l *Loader, p *Package) []*Package {
 	}
 	return out
 }
-
-// annotatedTypes collects the module's type declarations carrying the given
-// directive, keyed by declaration position, with the declaring package path
-// and type name as the value.
-type annotatedType struct {
-	pkgPath string
-	name    string
-}
-
-func collectAnnotatedTypes(l *Loader, p *Package, directive string) map[token.Pos]annotatedType {
-	out := map[token.Pos]annotatedType{}
-	for _, q := range modulePackages(l, p) {
-		for _, f := range q.Files {
-			for _, decl := range f.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok || gd.Tok != token.TYPE {
-					continue
-				}
-				for _, spec := range gd.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					if !hasDirective(gd.Doc, directive) && !hasDirective(ts.Doc, directive) {
-						continue
-					}
-					out[ts.Name.Pos()] = annotatedType{pkgPath: q.Path, name: ts.Name.Name}
-				}
-			}
-		}
-	}
-	return out
-}
-
-// namedDeclPos resolves a type to its declaration position when it is (or
-// points to) a named type, unwinding generic instantiation to the origin.
-func namedDeclPos(t types.Type) (token.Pos, bool) {
-	if t == nil {
-		return token.NoPos, false
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return token.NoPos, false
-	}
-	return named.Origin().Obj().Pos(), true
-}
-
-// funcAnnotation classifies a function declaration's certification
-// directive: "" (none), "learner" (a certified learner entry point), or
-// "learnerOnly" (a mutating method callable only from learner code).
-func funcAnnotation(fd *ast.FuncDecl) string {
-	switch {
-	case hasDirective(fd.Doc, "//chromevet:learnerOnly"):
-		return "learnerOnly"
-	case hasDirective(fd.Doc, "//chromevet:learner"):
-		return "learner"
-	}
-	return ""
-}
-
-// annotatedFunc describes one learner-annotated function declaration.
-type annotatedFunc struct {
-	pkgPath string
-	name    string // display name ("QTable.Update")
-	kind    string // "learner" or "learnerOnly"
-}
-
-// collectLearnerFuncs gathers the module's learner/learnerOnly-annotated
-// function declarations, keyed by the declaring identifier's position.
-func collectLearnerFuncs(l *Loader, p *Package) map[token.Pos]annotatedFunc {
-	out := map[token.Pos]annotatedFunc{}
-	for _, q := range modulePackages(l, p) {
-		for _, f := range q.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				kind := funcAnnotation(fd)
-				if kind == "" {
-					continue
-				}
-				name := fd.Name.Name
-				if fd.Recv != nil && len(fd.Recv.List) == 1 {
-					if obj := receiverTypeObj(&Pass{L: l, P: q}, fd); obj != nil {
-						name = obj.Name() + "." + name
-					}
-				}
-				out[fd.Name.Pos()] = annotatedFunc{pkgPath: q.Path, name: name, kind: kind}
-			}
-		}
-	}
-	return out
-}
-
-// shardAnnotation classifies a function declaration's sharding directive:
-// "" (none), "shardsafe" (the caller guarantees exclusive access to every
-// shard's state, e.g. before workers start or between epochs), or
-// "shardjoin" (the function joins the shard workers and may then touch
-// cross-shard state, but only after the join).
-func shardAnnotation(fd *ast.FuncDecl) string {
-	switch {
-	case hasDirective(fd.Doc, "//chromevet:shardsafe"):
-		return "shardsafe"
-	case hasDirective(fd.Doc, "//chromevet:shardjoin"):
-		return "shardjoin"
-	}
-	return ""
-}
-
-// staleAnnotation classifies a snapshot accessor's directive: "" (none),
-// "stalebound" (enforces a caller-supplied staleness bound), or "rawsnap"
-// (hands out the raw snapshot with no bound; learner-side use only).
-func staleAnnotation(fd *ast.FuncDecl) string {
-	switch {
-	case hasDirective(fd.Doc, "//chromevet:stalebound"):
-		return "stalebound"
-	case hasDirective(fd.Doc, "//chromevet:rawsnap"):
-		return "rawsnap"
-	}
-	return ""
-}
-
-// collectShardedFields gathers the module's struct fields annotated
-// "//chromevet:sharded byCore" — per-core state owned by the shard that
-// owns the core — keyed by the declaring identifier's position (stable
-// across generic instantiation).
-func collectShardedFields(l *Loader, p *Package) map[token.Pos]string {
-	const directive = "//chromevet:sharded byCore"
-	out := map[token.Pos]string{}
-	for _, q := range modulePackages(l, p) {
-		for _, f := range q.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				st, ok := n.(*ast.StructType)
-				if !ok {
-					return true
-				}
-				for _, fld := range st.Fields.List {
-					if !hasDirective(fld.Doc, directive) && !hasDirective(fld.Comment, directive) {
-						continue
-					}
-					for _, name := range fld.Names {
-						out[name.Pos()] = name.Name
-					}
-				}
-				return true
-			})
-		}
-	}
-	return out
-}
-
-// collectStaleFuncs gathers the module's stalebound/rawsnap-annotated
-// function declarations, keyed by the declaring identifier's position.
-func collectStaleFuncs(l *Loader, p *Package) map[token.Pos]annotatedFunc {
-	out := map[token.Pos]annotatedFunc{}
-	for _, q := range modulePackages(l, p) {
-		for _, f := range q.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				kind := staleAnnotation(fd)
-				if kind == "" {
-					continue
-				}
-				name := fd.Name.Name
-				if fd.Recv != nil && len(fd.Recv.List) == 1 {
-					if obj := receiverTypeObj(&Pass{L: l, P: q}, fd); obj != nil {
-						name = obj.Name() + "." + name
-					}
-				}
-				out[fd.Name.Pos()] = annotatedFunc{pkgPath: q.Path, name: name, kind: kind}
-			}
-		}
-	}
-	return out
-}
-
-// isCoreID reports whether t is the simulator's core index type
-// (chrome/internal/mem.CoreID), the only value that proves shard ownership.
-func isCoreID(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Origin().Obj()
-	return obj.Name() == "CoreID" && obj.Pkg() != nil &&
-		strings.HasSuffix(obj.Pkg().Path(), "internal/mem")
-}
-
-// --------------------------------------------------- lock-discipline summaries
-
-// The guardedby/lockorder analyzers (DESIGN.md §11) share three module-wide
-// annotation tables: guarded fields ("//chromevet:guardedby mu"), ranked
-// mutexes ("//chromevet:lockrank N"), and caller-holds method summaries
-// ("//chromevet:locked mu"). Like the learner tables above, each is keyed by
-// the declaring identifier's position so lookups survive generic
-// instantiation, and annotation errors travel in the value (bad != "") so
-// only the declaring package's pass reports them.
 
 // directiveArg returns the first argument of a "<directive> <arg>" comment
 // line in any of the groups, and whether the directive is present at all. A
@@ -490,220 +288,4 @@ func collectLockRanks(l *Loader, p *Package) map[token.Pos]rankedMutex {
 		}
 	}
 	return out
-}
-
-// ------------------------------------------------------- mutation summaries
-
-// mutsum computes per-function parameter-mutation summaries: whether a
-// function stores into caller-visible memory reachable through parameter i
-// (or through its receiver), directly or via callees. It mirrors
-// aliasshare's retention fixpoint — cross-package callees load on demand,
-// intra-package recursion iterates to a fixpoint — but tracks writes
-// instead of stores-of-the-parameter, which is what snapshotro needs to
-// prove a snapshot handed to arbitrary module code stays unwritten.
-type mutsum struct {
-	l    *Loader
-	pkgs map[string]map[*types.Func]*mutInfo
-}
-
-type mutInfo struct {
-	params []bool // stores reach caller memory through parameter i
-	recv   bool   // stores reach caller memory through the receiver
-}
-
-func newMutsum(l *Loader) *mutsum {
-	return &mutsum{l: l, pkgs: map[string]map[*types.Func]*mutInfo{}}
-}
-
-// of returns the package's mutation summaries, computing them on first use.
-func (ms *mutsum) of(p *Package) map[*types.Func]*mutInfo {
-	if s, ok := ms.pkgs[p.Path]; ok {
-		return s
-	}
-	sums := map[*types.Func]*mutInfo{}
-	ms.pkgs[p.Path] = sums
-
-	type fnDecl struct {
-		fn *types.Func
-		d  *ast.FuncDecl
-	}
-	var decls []fnDecl
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := p.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			sums[fn] = &mutInfo{params: make([]bool, fn.Type().(*types.Signature).Params().Len())}
-			decls = append(decls, fnDecl{fn, fd})
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, fd := range decls {
-			if ms.evalFunc(p, fd.fn, fd.d, sums) {
-				changed = true
-			}
-		}
-	}
-	return sums
-}
-
-// summaryFor resolves a callee's summary, loading its package on demand.
-// Unknown callees (stdlib, interface methods) are assumed non-mutating:
-// the snapshot types under certification are module-internal and never
-// cross the stdlib boundary as writable references.
-func (ms *mutsum) summaryFor(fn *types.Func) *mutInfo {
-	fn = fn.Origin()
-	pkg := fn.Pkg()
-	if pkg == nil {
-		return nil
-	}
-	path := pkg.Path()
-	if path != ms.l.ModPath && !strings.HasPrefix(path, ms.l.ModPath+"/") {
-		return nil
-	}
-	p, err := ms.l.Load(path)
-	if err != nil {
-		return nil
-	}
-	return ms.of(p)[fn]
-}
-
-// evalFunc applies the mutation rules to one function body and reports
-// whether its summary changed.
-func (ms *mutsum) evalFunc(p *Package, fn *types.Func, d *ast.FuncDecl, sums map[*types.Func]*mutInfo) bool {
-	info := sums[fn]
-	sig := fn.Type().(*types.Signature)
-	index := map[*types.Var]int{}
-	for i := 0; i < sig.Params().Len(); i++ {
-		index[sig.Params().At(i)] = i
-	}
-	var recvVar *types.Var
-	if sig.Recv() != nil {
-		recvVar = sig.Recv()
-	}
-	changed := false
-	markIdx := func(i int) {
-		if i >= 0 && i < len(info.params) && !info.params[i] {
-			info.params[i] = true
-			changed = true
-		}
-	}
-	markRecv := func() {
-		if !info.recv {
-			info.recv = true
-			changed = true
-		}
-	}
-	// rootOf resolves an lvalue-ish expression to (param index | receiver),
-	// reporting whether the unwrap path penetrates into memory the caller
-	// can see: an index, a dereference, or a reference-typed root.
-	rootOf := func(e ast.Expr) (idx int, isRecv, penetrates bool) {
-		idx = -1
-		for {
-			switch x := ast.Unparen(e).(type) {
-			case *ast.IndexExpr:
-				penetrates = true
-				e = x.X
-			case *ast.StarExpr:
-				penetrates = true
-				e = x.X
-			case *ast.SliceExpr:
-				e = x.X
-			case *ast.SelectorExpr:
-				e = x.X
-			case *ast.Ident:
-				v, ok := p.Info.ObjectOf(x).(*types.Var)
-				if !ok {
-					return -1, false, false
-				}
-				if mutableRef(v.Type()) {
-					penetrates = true
-				}
-				if v == recvVar {
-					return -1, true, penetrates
-				}
-				if i, isParam := index[v]; isParam {
-					return i, false, penetrates
-				}
-				return -1, false, false
-			default:
-				return -1, false, false
-			}
-		}
-	}
-	// aliasOf resolves a call argument to the parameter/receiver whose
-	// referent it aliases (mutableRef projections only).
-	aliasOf := func(e ast.Expr) (idx int, isRecv bool) {
-		if !mutableRef(p.Info.TypeOf(e)) {
-			return -1, false
-		}
-		i, r, _ := rootOf(e)
-		return i, r
-	}
-	markStore := func(e ast.Expr) {
-		i, r, pen := rootOf(e)
-		if !pen {
-			return
-		}
-		if r {
-			markRecv()
-		} else if i >= 0 {
-			markIdx(i)
-		}
-	}
-
-	ast.Inspect(d.Body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range s.Lhs {
-				markStore(lhs)
-			}
-		case *ast.IncDecStmt:
-			markStore(s.X)
-		case *ast.CallExpr:
-			callee := calleeOf(p, s)
-			if callee == nil {
-				return true
-			}
-			cs := ms.summaryFor(callee)
-			if cs == nil {
-				return true
-			}
-			for j, arg := range s.Args {
-				pi, pr := aliasOf(arg)
-				if pi < 0 && !pr {
-					continue
-				}
-				k := j
-				if k >= len(cs.params) {
-					k = len(cs.params) - 1 // variadic tail
-				}
-				if k >= 0 && cs.params[k] {
-					if pr {
-						markRecv()
-					} else {
-						markIdx(pi)
-					}
-				}
-			}
-			if cs.recv {
-				if sel, ok := ast.Unparen(s.Fun).(*ast.SelectorExpr); ok {
-					pi, pr := aliasOf(sel.X)
-					if pr {
-						markRecv()
-					} else if pi >= 0 {
-						markIdx(pi)
-					}
-				}
-			}
-		}
-		return true
-	})
-	return changed
 }

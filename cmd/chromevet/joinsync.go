@@ -1,25 +1,18 @@
 package main
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 )
 
-// analyzerJoinSync certifies goroutine lifecycle in certified code
-// (DESIGN.md §6.5): results computed by spawned workers may only be read
-// back after the workers are provably finished. Two obligations:
-//
-//   - every goroutine spawned in the package must signal completion (a
-//     close, a WaitGroup Done, or a send on a channel) and some such
-//     signal must be awaited in the package (a receive, a range over the
-//     channel, or a Wait) — an unjoined goroutine can still be writing
-//     when its output is consumed;
-//   - a function annotated //chromevet:shardjoin reads cross-shard state
-//     after joining the shard workers, so it must contain a join
-//     operation, and every //chromevet:sharded field access in it must
-//     come after the first join.
+// analyzerJoinSync certifies goroutine lifecycle in internal packages (the
+// experiments worker pool is the live client): results computed by spawned
+// workers may only be read back after the workers are provably finished.
+// Every goroutine spawned in the package must signal completion (a close, a
+// WaitGroup Done, or a send on a channel) and some such signal must be
+// awaited in the package (a receive, a range over the channel, or a Wait) —
+// an unjoined goroutine can still be writing when its output is consumed.
 //
 // The signal/join match is by the signaled object (the channel or
 // WaitGroup variable or field), an over-approximation that accepts any
@@ -115,49 +108,6 @@ func runJoinSync(pass *Pass) []Finding {
 		})
 	}
 
-	// Obligation two: shardjoin bodies join before touching sharded state.
-	var sharded map[token.Pos]string
-	for _, fd := range funcDecls {
-		if fd.Body == nil || shardAnnotation(fd) != "shardjoin" {
-			continue
-		}
-		if sharded == nil {
-			sharded = collectShardedFields(pass.L, p)
-		}
-		firstJoin := token.Pos(0)
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if _, ok := joinTarget(p, n); ok {
-				if firstJoin == 0 || n.Pos() < firstJoin {
-					firstJoin = n.Pos()
-				}
-			}
-			return true
-		})
-		if firstJoin == 0 {
-			out = append(out, Finding{
-				Analyzer: "joinsync",
-				Pos:      pass.pos(fd.Name.Pos()),
-				Message:  fmt.Sprintf("%s is declared //chromevet:shardjoin but contains no join operation (receive or Wait)", fd.Name.Name),
-			})
-			continue
-		}
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok || id.Pos() >= firstJoin {
-				return true
-			}
-			if obj := p.Info.ObjectOf(id); obj != nil {
-				if name, ok := sharded[obj.Pos()]; ok {
-					out = append(out, Finding{
-						Analyzer: "joinsync",
-						Pos:      pass.pos(id.Pos()),
-						Message:  fmt.Sprintf("accesses //chromevet:sharded field %s before the join: the owning shard workers may still be writing", name),
-					})
-				}
-			}
-			return true
-		})
-	}
 	return out
 }
 

@@ -28,20 +28,9 @@
 //     //chromevet:hot — the certified zero-allocation per-access path
 //     whose steady-state heap traffic TestAllocBudget pins to zero
 //     (hotalloc, DESIGN.md §7);
-//   - actor/learner certification (DESIGN.md §6.4): types annotated
-//     //chromevet:snapshot are deep-read-only once published (snapshotro),
-//     values sent on //chromevet:transfer channels are never reused by the
-//     sender (msgown), and //chromevet:learnerOnly mutators are reachable
-//     only from //chromevet:learner entry points (learnerwrite);
-//   - sharded ownership certification (DESIGN.md §6.5): fields annotated
-//     "//chromevet:sharded byCore" are only indexed by a value derived
-//     from the owning shard's mem.CoreID, followed interprocedurally
-//     through CoreID parameters (shardown); every spawned goroutine is
-//     provably joined, and //chromevet:shardjoin functions join before
-//     touching sharded state (joinsync); cross-package fetches of epoch
-//     snapshots go through a //chromevet:stalebound accessor taking an
-//     explicit staleness bound, never a //chromevet:rawsnap fetcher
-//     (stalebound);
+//   - goroutine lifecycle: every goroutine spawned in an internal package
+//     signals completion and that signal is awaited in the package
+//     (joinsync);
 //   - lock-discipline certification (DESIGN.md §11): fields annotated
 //     "//chromevet:guardedby mu" are only read or written while the named
 //     sibling mutex is provably held, tracked through Lock/Unlock/defer

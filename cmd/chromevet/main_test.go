@@ -87,16 +87,8 @@ func fixtureLoader(t *testing.T) *Loader {
 	l.Override("chrome/internal/vetfixture/frozenshare", filepath.Join(base, "frozenshare"))
 	l.Override("chrome/internal/vetfixture/units", filepath.Join(base, "units"))
 	l.Override("chrome/internal/vetfixture/hwwidth", filepath.Join(base, "hwwidth"))
-	l.Override("chrome/internal/vetfixture/snappub", filepath.Join(base, "snapshotro", "pub"))
-	l.Override("chrome/internal/vetfixture/snapshotro", filepath.Join(base, "snapshotro"))
-	l.Override("chrome/internal/vetfixture/msgown", filepath.Join(base, "msgown"))
-	l.Override("chrome/internal/vetfixture/learnerext", filepath.Join(base, "learnerwrite", "ext"))
-	l.Override("chrome/internal/vetfixture/learnerwrite", filepath.Join(base, "learnerwrite"))
 	l.Override("chrome/internal/vetfixture/allowedge", filepath.Join(base, "allowedge"))
-	l.Override("chrome/internal/vetfixture/shardown", filepath.Join(base, "shardown"))
 	l.Override("chrome/internal/vetfixture/joinsync", filepath.Join(base, "joinsync"))
-	l.Override("chrome/internal/vetfixture/stalesnap", filepath.Join(base, "stalebound", "snap"))
-	l.Override("chrome/internal/vetfixture/stalebound", filepath.Join(base, "stalebound"))
 	l.Override("chrome/internal/vetfixture/guardedby", filepath.Join(base, "guardedby"))
 	l.Override("chrome/internal/vetfixture/lockorder", filepath.Join(base, "lockorder"))
 	l.Override("chrome/internal/vetfixture/hotblock", filepath.Join(base, "hotblock"))
@@ -134,29 +126,11 @@ func TestFixtures(t *testing.T) {
 		{name: "frozenshare", paths: []string{"chrome/internal/vetfixture/frozenshare"}, dirs: []string{"frozenshare"}},
 		{name: "units", paths: []string{"chrome/internal/vetfixture/units"}, dirs: []string{"units"}},
 		{name: "hwwidth", paths: []string{"chrome/internal/vetfixture/hwwidth"}, dirs: []string{"hwwidth"}},
-		// The publishing package is analyzed alongside the consumer: its
-		// learner-certified writes must stay clean, which is the exemption
-		// half of the snapshotro contract. The mutating-method case also
-		// trips learnerwrite, deliberately.
-		{name: "snapshotro",
-			paths:     []string{"chrome/internal/vetfixture/snappub", "chrome/internal/vetfixture/snapshotro"},
-			dirs:      []string{"snapshotro", filepath.Join("snapshotro", "pub")},
-			analyzers: []string{"snapshotro", "learnerwrite"}},
-		{name: "msgown", paths: []string{"chrome/internal/vetfixture/msgown"}, dirs: []string{"msgown"}},
-		{name: "learnerwrite",
-			paths: []string{"chrome/internal/vetfixture/learnerext", "chrome/internal/vetfixture/learnerwrite"},
-			dirs:  []string{"learnerwrite", filepath.Join("learnerwrite", "ext")}},
-		{name: "shardown", paths: []string{"chrome/internal/vetfixture/shardown"}, dirs: []string{"shardown"}},
 		{name: "joinsync", paths: []string{"chrome/internal/vetfixture/joinsync"}, dirs: []string{"joinsync"}},
-		// The publishing package rides along so the consumer's imports
-		// resolve; its broken stalebound declaration is itself a finding.
-		{name: "stalebound",
-			paths: []string{"chrome/internal/vetfixture/stalesnap", "chrome/internal/vetfixture/stalebound"},
-			dirs:  []string{"stalebound", filepath.Join("stalebound", "snap")}},
 		// The suppression audit: misplaced and typo'd allows are findings of
 		// the pseudo-analyzer "allow"; the hazards they fail to cover
-		// surface as ordinary narrowing findings. Stale allows naming the
-		// sharded-ownership analyzers prove used-tracking covers them too.
+		// surface as ordinary narrowing findings. A stale joinsync allow
+		// proves used-tracking covers the goroutine-lifecycle check too.
 		{name: "allowedge", paths: []string{"chrome/internal/vetfixture/allowedge"}, dirs: []string{"allowedge"},
 			analyzers: []string{"narrowing", "allow", "guardedby", "lockorder", "hotblock"}},
 		{name: "guardedby", paths: []string{"chrome/internal/vetfixture/guardedby"}, dirs: []string{"guardedby"}},

@@ -473,11 +473,9 @@ func calleeOf(p *Package, call *ast.CallExpr) *types.Func {
 
 // analyzerConcPrim pins the core simulator packages as single-threaded by
 // design: any goroutine spawn, channel operation or type, select, or sync
-// import there is a finding. The one certified exception is the
-// actor/learner boundary package internal/chrome/parallel, whose ownership
-// and snapshot discipline is proven by the msgown/snapshotro/learnerwrite
-// analyzers; all other concurrency lives in the runner layer
-// (internal/experiments), above the certified-independent simulator cells.
+// import there is a finding, with no exception. Concurrency lives in the
+// runner layer (internal/experiments), above the certified-independent
+// simulator cells.
 func analyzerConcPrim() *Analyzer {
 	return &Analyzer{
 		Name:  "concprim",
@@ -488,18 +486,12 @@ func analyzerConcPrim() *Analyzer {
 }
 
 func runConcPrim(pass *Pass) []Finding {
-	if pass.P.Path == pass.L.ModPath+"/internal/chrome/parallel" {
-		// The certified actor/learner concurrency boundary: the only core
-		// package allowed sync/goroutines/channels, because snapshotro,
-		// msgown, and learnerwrite statically pin its sharing discipline.
-		return nil
-	}
 	var out []Finding
 	report := func(at ast.Node, what string) {
 		out = append(out, Finding{
 			Analyzer: "concprim",
 			Pos:      pass.pos(at.Pos()),
-			Message:  what + " in a core simulator package: these packages are single-threaded by design; concurrency belongs in the certified actor/learner package (internal/chrome/parallel) or the runner layer (internal/experiments)",
+			Message:  what + " in a core simulator package: these packages are single-threaded by design; concurrency belongs in the runner layer (internal/experiments)",
 		})
 	}
 	for _, f := range pass.P.Files {

@@ -27,26 +27,11 @@ func properlyUsed(x uint64) uint32 {
 	return uint32(x) //chromevet:allow narrowing -- fixture: exercises a live suppression
 }
 
-// shardStale parks a waiver for shardown where nothing touches sharded
-// state: the analyzer runs module-wide over this package, reports nothing
-// on the line, and the audit flags the waiver stale.
-func shardStale(xs []int) int {
-	t := 0 //chromevet:allow shardown -- nothing here indexes sharded state // want allow "stale allow: shardown reported no finding"
-	for _, x := range xs {
-		t += x
-	}
-	return t
-}
-
-// joinStale does the same for joinsync: no goroutine is spawned here.
+// joinStale parks a waiver for joinsync where no goroutine is spawned:
+// the analyzer runs over this package, reports nothing on the line, and
+// the audit flags the waiver stale.
 func joinStale() int {
 	return 1 //chromevet:allow joinsync -- no goroutines here // want allow "stale allow: joinsync reported no finding"
-}
-
-// boundStale does the same for stalebound: no snapshot crosses a package
-// boundary here.
-func boundStale() int {
-	return 2 //chromevet:allow stalebound -- no snapshot fetches here // want allow "stale allow: stalebound reported no finding"
 }
 
 // lockedBox gives the lock-discipline analyzers something real to find:
@@ -90,5 +75,5 @@ func hotStale() int {
 	return 3 //chromevet:allow hotblock -- not a hot function // want allow "stale allow: hotblock reported no finding"
 }
 
-var _ = []any{wrongLine, unknownName, properlyUsed, shardStale, joinStale, boundStale,
+var _ = []any{wrongLine, unknownName, properlyUsed, joinStale,
 	guardedWrongLine, guardedTypo, guardedUsed, orderStale, hotStale}

@@ -1,19 +1,15 @@
 // Package fixture exercises the joinsync analyzer: every goroutine
-// spawned in certified code must signal completion and have that signal
-// awaited in the package, and a //chromevet:shardjoin function must join
-// the shard workers before touching //chromevet:sharded state. Loaded by
-// the driver test under chrome/internal/vetfixture/joinsync.
+// spawned in an internal package must signal completion and have that
+// signal awaited in the package. Loaded by the driver test under
+// chrome/internal/vetfixture/joinsync.
 package fixture
 
 import "sync"
 
-// worker owns per-shard results and the termination handshake.
+// worker owns the termination handshake.
 type worker struct {
-	// results[c] is filled by core c's shard worker.
-	//chromevet:sharded byCore
-	results []int
-	done    chan struct{}
-	out     chan int
+	done chan struct{}
+	out  chan int
 }
 
 // spawn is the good path: the body sends its result and closes the
@@ -69,36 +65,5 @@ func external(f func()) {
 	go f() // want joinsync "cannot be resolved"
 }
 
-// merge is the good shardjoin: the handshake receive comes first, the
-// cross-shard read after.
-//
-//chromevet:shardjoin
-func (w *worker) merge() int {
-	<-w.done
-	t := 0
-	for i := range w.results {
-		t += w.results[i]
-	}
-	return t
-}
-
-// mergeEarly reads sharded state above the join: the shard workers may
-// still be writing results when the read happens.
-//
-//chromevet:shardjoin
-func (w *worker) mergeEarly() int {
-	t := w.results[0] // want joinsync "before the join"
-	<-w.done
-	return t
-}
-
-// mergeNever carries the shardjoin certificate without any join at all.
-//
-//chromevet:shardjoin
-func (w *worker) mergeNever() int { // want joinsync "contains no join operation"
-	return len(w.results)
-}
-
 var _ = []any{(*worker).spawn, (*worker).collect, spawnWaitGroup,
-	fireAndForget, (*orphan).start, external,
-	(*worker).merge, (*worker).mergeEarly, (*worker).mergeNever}
+	fireAndForget, (*orphan).start, external}

@@ -9,8 +9,6 @@
 //	experiments -scale full            # entire suite (tens of minutes)
 //	experiments -scale full -j 8       # ... on 8 workers
 //	experiments -qualify               # workload MPKI qualification
-//	experiments -run fig11ext -actorlearner par -actorshards 4
-//	                                   # sharded actors, 16/32/64-core sweep
 //
 // Independent simulation cells (one mix under one scheme) run on a bounded
 // worker pool sized by -j; results are merged deterministically, so the
@@ -49,9 +47,6 @@ func main() {
 		replay   = flag.Bool("replay", true, "record each workload stream once and replay it across schemes and cells")
 		traceDir = flag.String("tracedir", "", "persist recordings to this directory and reuse them across runs (implies -replay)")
 		monoOn   = flag.Bool("mono", true, "use the monomorphized per-scheme access loop; -mono=false forces interface dispatch (byte-identical output, slower)")
-		actorAL  = flag.String("actorlearner", "inline", "CHROME update path: inline | seq | par (seq and par are byte-identical at equal seeds)")
-		shards   = flag.Int("actorshards", 0, "shard the CHROME actor pool across N workers (requires -actorlearner par; 0 = unsharded)")
-		stale    = flag.Int("staleness", 0, "epoch boundaries the adopted decision snapshot may lag the learner (deterministic at every bound)")
 		warmup   = flag.Uint64("warmup", 0, "override the scale's per-core warmup instruction budget (0 = scale default)")
 		measure  = flag.Uint64("measure", 0, "override the scale's per-core measured instruction budget (0 = scale default)")
 		sampling = flag.String("sampling", "none", "measurement strategy: none (exact full budget) | simpoint (weighted representative intervals)")
@@ -121,9 +116,6 @@ func main() {
 	sc.Parallelism = *jobs
 	sc.NoReplay = !*replay && *traceDir == ""
 	sc.NoMono = !*monoOn
-	sc.ActorLearner = *actorAL
-	sc.ActorShards = *shards
-	sc.SnapshotStaleness = *stale
 	sc.Sampling = *sampling
 	sc.SPInterval = mem.InstrOf(*spInt)
 	sc.SPWarmup = mem.InstrOf(*spWarm)

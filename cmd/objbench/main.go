@@ -78,7 +78,6 @@ func run(args []string) int {
 		Policy:        cfg.policy,
 		Seed:          cfg.seed,
 	})
-	defer c.Close()
 
 	zipf := newZipfTable(cfg.keys, cfg.theta)
 	perWorker := cfg.requests / cfg.workers

@@ -4,7 +4,6 @@ import (
 	"math/rand/v2"
 
 	"chrome/internal/cache"
-	"chrome/internal/chrome/parallel"
 	"chrome/internal/mem"
 	"chrome/internal/policy"
 )
@@ -27,7 +26,6 @@ type Agent struct {
 	// top of its source).
 	pcg *rand.PCG
 	ext *extractor
-	al  *alState
 
 	// Obstructed reports whether a core is currently LLC-obstructed; wired
 	// to the camat.Monitor by the simulator. Nil (or ConcurrencyAware
@@ -97,196 +95,6 @@ func New(cfg Config, sets, ways int) *Agent {
 		a.epv[s] = make([]uint8, ways)
 	}
 	return a
-}
-
-// alState carries the actor/learner wiring of an agent; nil in classic
-// inline mode.
-type alState struct {
-	mode LearnerMode
-	core *LearnerCore
-	par  *parallel.Learner[Experience, Snapshot]
-	// shards is the sharded actor pool staging experiences per core; nil
-	// when batches stream straight to the learner (LearnerOptions.Shards 0).
-	shards *parallel.Shards[Experience]
-	// current is the epoch-frozen snapshot every actor decision reads.
-	current *Snapshot
-	batch   []Experience
-	// emitted counts experiences since the last epoch boundary.
-	emitted  int
-	epochLen int
-	batchCap int
-	// staleness is the adopted snapshot's maximum age in epoch boundaries.
-	staleness int
-	// snapQ delays snapshot adoption by `staleness` boundaries in LearnerSeq
-	// mode, mirroring the parallel Cut/AtMost protocol exactly.
-	snapQ  []*Snapshot
-	closed bool
-	// actorRNG drives ε-greedy exploration per simulated core, decoupled
-	// from the learner's stochastic-rounding stream so actors need no
-	// access to learner state.
-	//
-	//chromevet:sharded byCore
-	actorRNG [maxCores]*rand.Rand
-}
-
-// SetLearner switches the agent from the classic inline SARSA update to
-// the actor/learner split (DESIGN.md §6.4). It must be called before the
-// first simulated access; LearnerInline is a no-op. In LearnerPar mode the
-// caller must Close the agent after the run before reading Q-table state.
-func (a *Agent) SetLearner(mode LearnerMode) {
-	a.SetLearnerOptions(LearnerOptions{Mode: mode})
-}
-
-// SetLearnerOptions is SetLearner with the full actor/learner shape:
-// learner mode, actor shard count, and snapshot staleness bound
-// (DESIGN.md §6.5). It runs strictly before the first simulated access, so
-// the whole-array sweep seeding the per-core actor RNGs happens while this
-// goroutine still owns every shard's state — the shardsafe annotation
-// records that exclusivity.
-//
-//chromevet:shardsafe
-func (a *Agent) SetLearnerOptions(o LearnerOptions) {
-	if o.Mode == LearnerInline {
-		if o.Shards != 0 || o.Staleness != 0 {
-			panic("chrome: sharding and staleness require LearnerSeq or LearnerPar")
-		}
-		return
-	}
-	if a.al != nil {
-		panic("chrome: SetLearner called twice")
-	}
-	if a.stats.Decisions != 0 {
-		panic("chrome: SetLearner must be called before simulation starts")
-	}
-	if o.Shards < 0 || (o.Shards > 0 && o.Mode != LearnerPar) {
-		panic("chrome: actor sharding requires LearnerPar")
-	}
-	if o.Staleness < 0 || o.Staleness > parallel.MaxStaleness {
-		panic("chrome: snapshot staleness bound out of range")
-	}
-	al := &alState{
-		mode:      o.Mode,
-		core:      newLearnerCore(a.qt, a.cfg),
-		epochLen:  a.cfg.epochUpdates(),
-		batchCap:  a.cfg.actorBatch(),
-		staleness: o.Staleness,
-	}
-	for c := range al.actorRNG {
-		al.actorRNG[c] = rand.New(rand.NewPCG(
-			a.cfg.Seed^uint64(c)<<1,
-			mem.Mix64(a.cfg.Seed^0xAC7EC0DE^uint64(c)),
-		))
-	}
-	if o.Mode == LearnerPar {
-		lc := al.core
-		al.par = parallel.New(lc.Apply, lc.Publish, al.batchCap)
-		al.batch = al.par.NewBatch()
-		al.current = al.par.AtMost(0)
-		if o.Shards > 0 {
-			al.shards = parallel.NewShards[Experience](o.Shards, maxCores, al.batchCap)
-		}
-	} else {
-		al.current = al.core.Publish()
-	}
-	a.al = al
-}
-
-// emit hands one experience to the learner and advances the epoch clock,
-// adopting a freshly published snapshot at each boundary (delayed by the
-// configured staleness bound). Sequential, parallel, and sharded mode feed
-// the same experiences to the same LearnerCore in the same order — sharded
-// staging merges back into emission order by sequence stamp before the
-// learner sees it — so the published snapshots, and every decision made
-// from them, are bit-identical across modes at equal staleness.
-func (a *Agent) emit(e Experience) {
-	al := a.al
-	switch {
-	case al.mode == LearnerSeq:
-		al.core.Apply(e)
-	case al.shards != nil:
-		al.shards.Emit(e.Core, e)
-	default:
-		al.batch = append(al.batch, e)
-		if len(al.batch) == al.batchCap {
-			al.par.Send(al.batch)
-			al.batch = al.par.NewBatch()
-		}
-	}
-	al.emitted++
-	if al.emitted != al.epochLen {
-		return
-	}
-	al.emitted = 0
-	if al.mode == LearnerSeq {
-		al.adopt(al.core.Publish())
-		return
-	}
-	if al.shards != nil {
-		al.feedMerged(al.shards.Cut())
-	} else {
-		al.par.Send(al.batch)
-		al.batch = al.par.NewBatch()
-	}
-	al.par.Cut()
-	al.current = al.par.AtMost(al.staleness)
-}
-
-// adopt queues a sequential-mode snapshot and adopts the one falling
-// `staleness` boundaries behind, mirroring the parallel Cut/AtMost
-// protocol: until enough boundaries have passed the actor keeps its
-// current (initially the epoch-0) snapshot.
-func (al *alState) adopt(s *Snapshot) {
-	al.snapQ = append(al.snapQ, s)
-	if len(al.snapQ) > al.staleness {
-		al.current = al.snapQ[0]
-		al.snapQ = al.snapQ[1:]
-	}
-}
-
-// feedMerged streams a merged epoch batch to the parallel learner in
-// emission order, re-batching into transfer-owned buffers.
-func (al *alState) feedMerged(run []parallel.Stamped[Experience]) {
-	for i := range run {
-		al.batch = append(al.batch, run[i].E)
-		if len(al.batch) == al.batchCap {
-			al.par.Send(al.batch)
-			al.batch = al.par.NewBatch()
-		}
-	}
-	al.par.Send(al.batch)
-	al.batch = al.par.NewBatch()
-}
-
-// Close drains the actor/learner machinery after a run: outstanding
-// experiences are applied, the shard workers and learner goroutine (if
-// any) are joined, and the final snapshot's write canary is verified. A
-// no-op in inline mode; idempotent otherwise. Whatever the staleness bound
-// was during the run, Close adopts the final snapshot at bound zero, so
-// post-run state reads are exact in every mode.
-func (a *Agent) Close() {
-	if a.al == nil || a.al.closed {
-		return
-	}
-	a.al.closed = true
-	if a.al.par != nil {
-		if a.al.shards != nil {
-			a.al.feedMerged(a.al.shards.Cut())
-			a.al.shards.Close()
-			a.al.shards = nil
-		} else {
-			a.al.par.Send(a.al.batch)
-		}
-		a.al.batch = nil
-		a.al.par.Close()
-		a.al.current = a.al.par.AtMost(0)
-		a.al.par = nil
-	} else {
-		// Mirror the parallel drain, which publishes once while stopping:
-		// both modes end on a freshly published final snapshot.
-		a.al.current = a.al.core.Publish()
-		a.al.snapQ = nil
-	}
-	a.al.core.finish()
 }
 
 // Name implements cache.Policy.
@@ -385,13 +193,11 @@ func (a *Agent) nrReward(e EQEntry) int8 {
 }
 
 // record implements Algorithm 1 lines 21-38 for sampled sets: push the new
-// EQ entry; on queue overflow assign the NR reward if needed and train on
-// the evicted entry as (S1, A1) with the queue head as (S2, A2). In inline
-// mode it applies the SARSA update itself — which is why it is certified
-// as a learner entry; in actor/learner mode it only emits the experience.
+// EQ entry; on queue overflow assign the NR reward if needed and apply the
+// SARSA update to the evicted entry as (S1, A1) with the queue head as
+// (S2, A2).
 //
 //chromevet:hot
-//chromevet:learner
 func (a *Agent) record(q int, entry EQEntry) {
 	old, evicted := a.eq.Insert(q, entry)
 	if !evicted {
@@ -402,20 +208,8 @@ func (a *Agent) record(q int, entry EQEntry) {
 		old.HasReward = true
 		a.stats.RewardsNR++
 	}
-	head := a.eq.Head(q)
-	if a.al != nil {
-		exp := Experience{
-			State: old.State, Action: old.Action, Reward: old.Reward,
-			Core: mem.CoreIDOf(int(old.Core)),
-		}
-		if head != nil {
-			exp.HasNext, exp.Next, exp.NextAction = true, head.State, head.Action
-		}
-		a.emit(exp)
-		return
-	}
 	var nextQ float64
-	if head != nil {
+	if head := a.eq.Head(q); head != nil {
 		nextQ = a.qt.Q(head.State, head.Action)
 	}
 	target := float64(old.Reward) + a.cfg.Gamma*nextQ
@@ -433,56 +227,61 @@ func pfIndex(acc mem.Access) int {
 }
 
 // choose implements the ε-greedy action selection (Algorithm 1 lines
-// 10-19). In actor/learner mode the exploiting lookup reads the core's
-// frozen epoch snapshot instead of the live table, and exploration draws
-// from the per-core actor RNG.
+// 10-19).
 //
 //chromevet:hot
-func (a *Agent) choose(s State, hit bool, core mem.CoreID) Action {
+func (a *Agent) choose(s State, hit bool) Action {
 	a.stats.Decisions++
-	rng := a.rng
-	if a.al != nil {
-		rng = a.al.actorRNG[core.Int()&(maxCores-1)]
-	}
-	if a.cfg.Epsilon > 0 && rng.Float64() < a.cfg.Epsilon {
+	if a.cfg.Epsilon > 0 && a.rng.Float64() < a.cfg.Epsilon {
 		a.stats.Explorations++
 		if hit {
-			return ActionEPV0 + Action(rng.IntN(3))
+			return ActionEPV0 + Action(a.rng.IntN(3))
 		}
-		return Action(rng.IntN(NumActions))
-	}
-	if a.al != nil {
-		act, _ := a.al.current.BestAction(s, hit)
-		return act
+		return Action(a.rng.IntN(NumActions))
 	}
 	act, _ := a.qt.BestAction(s, hit)
 	return act
 }
 
-// Victim implements cache.Policy for LLC misses: reward matching, action
-// selection (bypass or insert-with-EPV), EQ recording, and EPV-based victim
-// selection.
+// step runs Algorithm 1 for one LLC access to set: accuracy rewards on a
+// sampled set, state extraction (exactly once per access), ε-greedy action
+// selection, the action histogram, and EQ recording with the SARSA update
+// on overflow. Victim, OnHit and Step adapt the returned action to their
+// callers' bookkeeping.
 //
 //chromevet:hot
-func (a *Agent) Victim(set mem.SetIdx, blocks []cache.Block, acc mem.Access) (int, bool) {
+func (a *Agent) step(set mem.SetIdx, acc mem.Access, hit bool) Action {
 	q := a.sampler.Index(set)
 	if q >= 0 {
 		a.stats.SampledAccesses++
-		a.assignAccuracyReward(q, acc, false)
+		a.assignAccuracyReward(q, acc, hit)
 	}
-	st := a.state(acc, false)
-	act := a.choose(st, false, acc.Core)
-	a.stats.MissActions[pfIndex(acc)][act]++
+	st := a.state(acc, hit)
+	act := a.choose(st, hit)
+	if hit {
+		a.stats.HitActions[pfIndex(acc)][act]++
+	} else {
+		a.stats.MissActions[pfIndex(acc)][act]++
+	}
 	if q >= 0 {
 		a.record(q, EQEntry{
 			State:      st,
 			Action:     act,
-			TriggerHit: false,
+			TriggerHit: hit,
 			AddrHash:   HashAddr(acc.Addr),
 			Core:       uint8(acc.Core.Int()),
 			Prefetch:   acc.IsPrefetch(),
 		})
 	}
+	return act
+}
+
+// Victim implements cache.Policy for LLC misses: the Algorithm-1 step
+// chooses bypass or insert-with-EPV, then the victim is picked by EPV.
+//
+//chromevet:hot
+func (a *Agent) Victim(set mem.SetIdx, blocks []cache.Block, acc mem.Access) (int, bool) {
+	act := a.step(set, acc, false)
 	if act == ActionBypass {
 		a.stats.Bypasses++
 		return 0, true
@@ -523,30 +322,12 @@ func (a *Agent) victimByEPV(set mem.SetIdx, blocks []cache.Block) int {
 	return best
 }
 
-// OnHit implements cache.Policy for LLC hits: reward matching, promotion
-// action selection, EPV update, and EQ recording.
+// OnHit implements cache.Policy for LLC hits: the Algorithm-1 step chooses
+// the promotion EPV written to the hit line.
 //
 //chromevet:hot
 func (a *Agent) OnHit(set mem.SetIdx, way int, _ []cache.Block, acc mem.Access) {
-	q := a.sampler.Index(set)
-	if q >= 0 {
-		a.stats.SampledAccesses++
-		a.assignAccuracyReward(q, acc, true)
-	}
-	st := a.state(acc, true)
-	act := a.choose(st, true, acc.Core)
-	a.stats.HitActions[pfIndex(acc)][act]++
-	a.epv[set][way] = act.EPV() & 3
-	if q >= 0 {
-		a.record(q, EQEntry{
-			State:      st,
-			Action:     act,
-			TriggerHit: true,
-			AddrHash:   HashAddr(acc.Addr),
-			Core:       uint8(acc.Core.Int()),
-			Prefetch:   acc.IsPrefetch(),
-		})
-	}
+	a.epv[set][way] = a.step(set, acc, true).EPV() & 3
 }
 
 // OnFill implements cache.Policy: apply the EPV chosen by the preceding

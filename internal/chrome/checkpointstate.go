@@ -1,13 +1,12 @@
 package chrome
 
-// Full-state checkpointing of an inline-mode agent (DESIGN.md §10),
+// Full-state checkpointing of an agent (DESIGN.md §10),
 // complementing the CHQT warm-start format in checkpoint.go: where CHQT
 // captures only the learned Q-table, SaveState/LoadState capture everything
 // that influences future decisions — Q-table, evaluation queues, feature
 // histories, per-line EPVs, the exploration RNG position, and the activity
 // counters — so a restored agent continues bit-identically to an
-// uninterrupted run. Actor/learner mode distributes in-flight experiences
-// across goroutines and is refused.
+// uninterrupted run.
 
 import (
 	"fmt"
@@ -56,15 +55,8 @@ func loadEQEntry(dec *state.Dec) EQEntry {
 	return e
 }
 
-// SaveState implements cache.Checkpointable. It refuses actor/learner mode
-// below, so the calling goroutine owns every per-core shard — the shardsafe
-// annotation is sound.
-//
-//chromevet:shardsafe
+// SaveState implements cache.Checkpointable.
 func (a *Agent) SaveState(enc *state.Enc) error {
-	if a.al != nil {
-		return fmt.Errorf("chrome: actor/learner mode agents cannot be checkpointed (in-flight experiences span goroutines); use inline mode")
-	}
 	rngState, err := a.pcg.MarshalBinary()
 	if err != nil {
 		return fmt.Errorf("chrome: serializing exploration RNG: %w", err)
@@ -143,15 +135,8 @@ func (a *Agent) SaveState(enc *state.Enc) error {
 	return nil
 }
 
-// LoadState implements cache.Checkpointable. It refuses actor/learner mode
-// below, so the calling goroutine owns every per-core shard — the shardsafe
-// annotation is sound.
-//
-//chromevet:shardsafe
+// LoadState implements cache.Checkpointable.
 func (a *Agent) LoadState(dec *state.Dec) error {
-	if a.al != nil {
-		return fmt.Errorf("chrome: actor/learner mode agents cannot restore checkpoints; use inline mode")
-	}
 	if err := a.pcg.UnmarshalBinary(dec.BytesN()); err != nil {
 		return fmt.Errorf("chrome: restoring exploration RNG: %w", err)
 	}

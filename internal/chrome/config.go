@@ -45,57 +45,6 @@ const (
 	ComposeSum
 )
 
-// LearnerMode selects how SARSA updates reach the Q-table.
-type LearnerMode uint8
-
-const (
-	// LearnerInline applies each update synchronously at decision time from
-	// the live Q-table (the classic single-threaded configuration; default).
-	LearnerInline LearnerMode = iota
-	// LearnerSeq routes updates through the actor/learner experience
-	// protocol — decisions read an epoch-frozen snapshot, updates apply in
-	// emission order with the learner's own RNG — but executes everything
-	// on the calling goroutine. It is the determinism reference LearnerPar
-	// must match byte-for-byte.
-	LearnerSeq
-	// LearnerPar runs the certified learner on its own goroutine: actors
-	// emit experience batches over an ownership-transfer channel and read
-	// published snapshots lock-free; the epoch-boundary flush handshake
-	// keeps results byte-identical to LearnerSeq.
-	LearnerPar
-)
-
-// LearnerOptions is the full actor/learner shape an agent can run with
-// (DESIGN.md §6.5). The zero value means classic inline updates.
-type LearnerOptions struct {
-	// Mode selects the update path; see LearnerMode.
-	Mode LearnerMode
-	// Shards >= 1 partitions actor-side experience staging across that many
-	// shard worker goroutines (LearnerPar only). 0 streams batches straight
-	// to the learner on the emitting goroutine. Output is byte-identical at
-	// equal seeds and staleness for every shard count, including zero.
-	Shards int
-	// Staleness bounds how many epoch boundaries the adopted decision
-	// snapshot may lag the learner (0 = adopt synchronously at each
-	// boundary; at most parallel.MaxStaleness). The bound is exact-lag and
-	// deterministic: the adopted snapshot is fixed by the experience
-	// sequence and the bound, never by goroutine scheduling.
-	Staleness int
-}
-
-// String names the learner mode.
-func (m LearnerMode) String() string {
-	switch m {
-	case LearnerInline:
-		return "inline"
-	case LearnerSeq:
-		return "seq"
-	case LearnerPar:
-		return "par"
-	}
-	return "?"
-}
-
 // Rewards holds the reward values of Table II. AC rewards apply when the
 // action's block was re-requested and present (accurate caching); IN when
 // re-requested but absent (inaccurate); the NR variants apply when the
@@ -159,14 +108,6 @@ type Config struct {
 	ConcurrencyAware bool
 	// Seed drives the deterministic exploration RNG.
 	Seed uint64
-	// EpochUpdates is the actor/learner epoch length: after this many
-	// emitted experiences the learner publishes a fresh snapshot and the
-	// actors adopt it (0 → 2048). Ignored in LearnerInline mode.
-	EpochUpdates int
-	// ActorBatch is the experience-batch capacity actors fill before
-	// transferring it to the parallel learner (0 → 64). Ignored outside
-	// LearnerPar mode.
-	ActorBatch int
 }
 
 // DefaultConfig returns the paper's tuned configuration (Tables II & III).
@@ -230,23 +171,5 @@ func (c Config) validate() {
 		panic("chrome: SampledSets must be positive")
 	case len(c.StateFeatures) > MaxStateFeatures:
 		panic("chrome: too many state features")
-	case c.EpochUpdates < 0 || c.ActorBatch < 0:
-		panic("chrome: EpochUpdates and ActorBatch must be non-negative")
 	}
-}
-
-// epochUpdates returns the effective actor/learner epoch length.
-func (c Config) epochUpdates() int {
-	if c.EpochUpdates > 0 {
-		return c.EpochUpdates
-	}
-	return 2048
-}
-
-// actorBatch returns the effective experience-batch capacity.
-func (c Config) actorBatch() int {
-	if c.ActorBatch > 0 {
-		return c.ActorBatch
-	}
-	return 64
 }

@@ -138,8 +138,7 @@ func (fc *featureContext) deltaHistHash() uint64 {
 // other.
 type extractor struct {
 	kinds []FeatureKind
-	//chromevet:sharded byCore
-	ctx []featureContext
+	ctx   []featureContext
 }
 
 func newExtractor(kinds []FeatureKind, cores int) *extractor {

@@ -85,28 +85,18 @@ func (s State) Len() int { return int(s.n) }
 // partials stored in sub-table entries (Q10.5: 5 fractional bits).
 const qScale = 32
 
-// qview is the read side of a Q-table: the hashed sub-table partials plus
-// the few scalars the lookup path needs. It is extracted from QTable so an
-// epoch-published Snapshot can carry the identical lookup code over a
-// private copy of the partials — actors call the same BestAction whether
-// they read the live table (inline mode) or a frozen snapshot
-// (actor/learner mode).
-type qview struct {
-	// partials[feature][subTable] is a flat [entries*NumActions]int16.
-	partials  [][][]int16
-	mask      uint64
-	n         int // state dimensionality
-	subTables int
-	compose   QCompose
-}
-
 // QTable stores the Q-values of feature-action pairs in hashed sub-tables
 // (paper §V-C): per feature, SubTables sub-tables of 2^SubTableBits entries
 // × NumActions 16-bit partial values. Q(f,A) is the sum of the partials;
 // Q(S,A) combines the feature values with max (or sum, for the ablation).
 type QTable struct {
 	cfg Config
-	qview
+	// partials[feature][subTable] is a flat [entries*NumActions]int16.
+	partials  [][][]int16
+	mask      uint64
+	n         int // state dimensionality
+	subTables int
+	compose   QCompose
 
 	// updates counts SARSA applications (for the UPKSA metric).
 	updates uint64
@@ -118,12 +108,13 @@ type QTable struct {
 func NewQTable(cfg Config) *QTable {
 	cfg.validate()
 	kinds := cfg.featureKinds()
-	qt := &QTable{cfg: cfg, qview: qview{
+	qt := &QTable{
+		cfg:       cfg,
 		mask:      (1 << cfg.SubTableBits) - 1,
 		n:         len(kinds),
 		subTables: cfg.SubTables,
 		compose:   cfg.Compose,
-	}}
+	}
 	entries := (1 << cfg.SubTableBits) * NumActions
 	optimistic := 1.0 / (1.0 - cfg.Gamma)
 	perPartial := int16(math.Round(optimistic * qScale / float64(cfg.SubTables)))
@@ -141,32 +132,18 @@ func NewQTable(cfg Config) *QTable {
 	return qt
 }
 
-// clone deep-copies the view: fresh backing arrays for every sub-table, so
-// the copy shares no memory with the live partials.
-func (qv *qview) clone() qview {
-	out := qview{mask: qv.mask, n: qv.n, subTables: qv.subTables, compose: qv.compose}
-	out.partials = make([][][]int16, len(qv.partials))
-	for f := range qv.partials {
-		out.partials[f] = make([][]int16, len(qv.partials[f]))
-		for t := range qv.partials[f] {
-			out.partials[f][t] = append([]int16(nil), qv.partials[f][t]...)
-		}
-	}
-	return out
-}
-
 // index returns the sub-table slot for a feature value. Each sub-table
 // XORs the feature with a distinct constant before hashing (paper §V-C).
 //
 //chromevet:hot
-func (qt *qview) index(sub int, feature uint64) uint64 {
+func (qt *QTable) index(sub int, feature uint64) uint64 {
 	return mem.Mix64(feature^(0x9E3779B97F4A7C15*uint64(sub+1))) & qt.mask
 }
 
 // featureQ returns Q(f_i, a) for feature index fi of the state.
 //
 //chromevet:hot
-func (qt *qview) featureQ(fi int, s State, a Action) float64 {
+func (qt *QTable) featureQ(fi int, s State, a Action) float64 {
 	var sum int32
 	for t := 0; t < qt.subTables; t++ {
 		idx := qt.index(t, s.f[fi])*NumActions + uint64(a)
@@ -179,7 +156,7 @@ func (qt *qview) featureQ(fi int, s State, a Action) float64 {
 // features of the per-feature Q-values).
 //
 //chromevet:hot
-func (qt *qview) Q(s State, a Action) float64 {
+func (qt *QTable) Q(s State, a Action) float64 {
 	switch qt.compose {
 	case ComposeSum:
 		var total float64
@@ -211,7 +188,7 @@ var missActionOrder = [NumActions]Action{ActionEPV0, ActionEPV1, ActionEPV2, Act
 // per-action loops.
 //
 //chromevet:hot
-func (qt *qview) gatherRows(s State, sums *[MaxStateFeatures][NumActions]int32) {
+func (qt *QTable) gatherRows(s State, sums *[MaxStateFeatures][NumActions]int32) {
 	for fi := 0; fi < qt.n; fi++ {
 		f := s.f[fi]
 		tabs := qt.partials[fi]
@@ -230,7 +207,7 @@ func (qt *qview) gatherRows(s State, sums *[MaxStateFeatures][NumActions]int32) 
 // feature order and with the same float operations as Q over featureQ.
 //
 //chromevet:hot
-func (qt *qview) composeQ(sums *[MaxStateFeatures][NumActions]int32, a Action) float64 {
+func (qt *QTable) composeQ(sums *[MaxStateFeatures][NumActions]int32, a Action) float64 {
 	switch qt.compose {
 	case ComposeSum:
 		var total float64
@@ -253,7 +230,7 @@ func (qt *qview) composeQ(sums *[MaxStateFeatures][NumActions]int32, a Action) f
 // set (miss: all four; hit: the three EPV actions) and its Q-value.
 //
 //chromevet:hot
-func (qt *qview) BestAction(s State, hit bool) (Action, float64) {
+func (qt *QTable) BestAction(s State, hit bool) (Action, float64) {
 	var sums [MaxStateFeatures][NumActions]int32
 	qt.gatherRows(s, &sums)
 	if hit {
@@ -283,11 +260,7 @@ func (qt *qview) BestAction(s State, hit bool) (Action, float64) {
 // rounding (driven by rnd, a uniform value in [0,1)) preserves learning for
 // small α despite the 16-bit quantization.
 //
-// In actor/learner mode only the certified learner applies updates; the
-// annotation lets chromevet's learnerwrite analyzer enforce that.
-//
 //chromevet:hot
-//chromevet:learnerOnly
 func (qt *QTable) Update(s State, a Action, target, rnd float64) {
 	qt.updates++
 	// The read pass (featureQ's sum) and the write pass hit the same

@@ -4,11 +4,11 @@ package chrome
 // simulator. The cache.Policy entry points (Victim/OnHit/OnFill) are
 // shaped around the simulator's per-set block arrays; a real object cache
 // has neither blocks nor ways, only an admit/priority verdict per request.
-// Step runs the identical Algorithm-1 pipeline — reward matching, ε-greedy
-// action selection, EQ recording, inline SARSA — and returns that verdict,
-// leaving the store bookkeeping (bands, recency lists, byte accounting) to
-// the caller. internal/objcache is the first such caller, mapping the
-// 2-bit EPV to its per-shard eviction bands.
+// Step runs the same Algorithm-1 step as Victim and OnHit — reward
+// matching, ε-greedy action selection, EQ recording, SARSA — and returns
+// that verdict, leaving the store bookkeeping (bands, recency lists, byte
+// accounting) to the caller. internal/objcache is the first such caller,
+// mapping the 2-bit EPV to its per-shard eviction bands.
 
 import "chrome/internal/mem"
 
@@ -22,40 +22,15 @@ type Decision struct {
 	EPV uint8 //chromevet:width 2
 }
 
-// Step drives one request through the full pipeline: accuracy rewards for
-// sampled sets, state extraction (exactly once per request), action
-// selection against the live table or the epoch snapshot, action
-// histograms, and EQ recording with not-re-referenced rewards on
-// overflow. It is Victim (hit=false) and OnHit (hit=true) with the
+// Step drives one request through the Algorithm-1 step and returns its
+// verdict. It is Victim (hit=false) and OnHit (hit=true) with the
 // simulator's block-array bookkeeping lifted away; the caller applies the
 // decision to its own store. The set index folds the address onto the
 // agent's set geometry, so sampling density matches the simulator's.
 //
 //chromevet:hot
 func (a *Agent) Step(acc mem.Access, hit bool) Decision {
-	set := acc.Addr.Block().Set(uint64(len(a.epv) - 1))
-	q := a.sampler.Index(set)
-	if q >= 0 {
-		a.stats.SampledAccesses++
-		a.assignAccuracyReward(q, acc, hit)
-	}
-	st := a.state(acc, hit)
-	act := a.choose(st, hit, acc.Core)
-	if hit {
-		a.stats.HitActions[pfIndex(acc)][act]++
-	} else {
-		a.stats.MissActions[pfIndex(acc)][act]++
-	}
-	if q >= 0 {
-		a.record(q, EQEntry{
-			State:      st,
-			Action:     act,
-			TriggerHit: hit,
-			AddrHash:   HashAddr(acc.Addr),
-			Core:       uint8(acc.Core.Int()),
-			Prefetch:   acc.IsPrefetch(),
-		})
-	}
+	act := a.step(acc.Addr.Block().Set(uint64(len(a.epv)-1)), acc, hit)
 	if !hit && act == ActionBypass {
 		a.stats.Bypasses++
 		return Decision{Bypass: true}

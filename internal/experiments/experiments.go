@@ -11,7 +11,6 @@ import (
 
 	"chrome/internal/cache"
 	"chrome/internal/chrome"
-	"chrome/internal/chrome/parallel"
 	"chrome/internal/mem"
 	"chrome/internal/metrics"
 	"chrome/internal/policy"
@@ -45,24 +44,6 @@ type Scale struct {
 	// byte-identical to live ones (TestReplayOffMatchesOn) and every scheme
 	// in a sweep shares one frozen recording per workload.
 	NoReplay bool
-	// ActorLearner selects the CHROME agent's update path: "" or "inline"
-	// keeps the classic in-band SARSA update; "seq" routes experiences
-	// through the actor/learner protocol on one goroutine; "par" runs the
-	// certified learner goroutine (DESIGN.md §6.4). "seq" and "par" are
-	// byte-identical to each other at equal seeds
-	// (TestActorLearnerMatchesSequential); only non-CHROME schemes are
-	// unaffected.
-	ActorLearner string
-	// ActorShards >= 1 stages CHROME experiences in the sharded actor pool
-	// with that many shard workers ("par" mode only; DESIGN.md §6.5). 0
-	// streams batches straight to the learner. Byte-identical at equal
-	// seeds and staleness for every value.
-	ActorShards int
-	// SnapshotStaleness bounds how many epoch boundaries the agents'
-	// adopted decision snapshot may lag the learner (0 = synchronous
-	// adoption). Deterministic at every bound; non-zero bounds trade
-	// decision freshness for pipeline throughput.
-	SnapshotStaleness int
 	// NoMono forces the interface-dispatched cache chain instead of the
 	// monomorphized per-scheme access loop (DESIGN.md §9). Byte-identical
 	// output either way (TestMonoMatchesInterface); used by the CI
@@ -86,43 +67,11 @@ type Scale struct {
 	SPClusters int
 }
 
-// LearnerMode parses the ActorLearner selector, returning an error naming
-// the valid modes — the friendly path CLI flag validation reports through.
-func (sc Scale) LearnerMode() (chrome.LearnerMode, error) {
-	switch sc.ActorLearner {
-	case "", "inline":
-		return chrome.LearnerInline, nil
-	case "seq":
-		return chrome.LearnerSeq, nil
-	case "par":
-		return chrome.LearnerPar, nil
-	}
-	return chrome.LearnerInline, fmt.Errorf(
-		"unknown actor/learner mode %q (valid modes: inline, seq, par)", sc.ActorLearner)
-}
-
-// Validate checks the actor/learner selection as a whole: the mode
-// selector, the shard count, and the staleness bound, including their
-// cross-constraints. CLI front ends call it once after flag parsing so a
-// bad value dies with a friendly message instead of panicking deep in a
-// runner.
+// Validate checks the sampling selection as a whole: the mode selector and
+// its knobs, including their cross-constraints. CLI front ends call it
+// once after flag parsing so a bad value dies with a friendly message
+// instead of panicking deep in a runner.
 func (sc Scale) Validate() error {
-	mode, err := sc.LearnerMode()
-	if err != nil {
-		return err
-	}
-	if sc.ActorShards < 0 {
-		return fmt.Errorf("actor shard count %d is negative (valid: 0 = unsharded, or a positive worker count)", sc.ActorShards)
-	}
-	if sc.ActorShards > 0 && mode != chrome.LearnerPar {
-		return fmt.Errorf("actor sharding requires -actorlearner par (have %q; valid modes: inline, seq, par)", sc.ActorLearner)
-	}
-	if sc.SnapshotStaleness < 0 || sc.SnapshotStaleness > parallel.MaxStaleness {
-		return fmt.Errorf("snapshot staleness %d out of range [0, %d]", sc.SnapshotStaleness, parallel.MaxStaleness)
-	}
-	if sc.SnapshotStaleness > 0 && mode == chrome.LearnerInline {
-		return fmt.Errorf("snapshot staleness requires -actorlearner seq or par (have %q)", sc.ActorLearner)
-	}
 	switch sc.Sampling {
 	case "", "none":
 		if sc.SPInterval != 0 || sc.SPWarmup != 0 || sc.SPClusters != 0 {
@@ -146,16 +95,6 @@ func (sc Scale) Validate() error {
 		return fmt.Errorf("unknown sampling mode %q (valid modes: none, simpoint)", sc.Sampling)
 	}
 	return nil
-}
-
-// learnerMode parses the ActorLearner selector, panicking on an unknown
-// value — programmatic misuse; CLI input goes through Validate first.
-func (sc Scale) learnerMode() chrome.LearnerMode {
-	mode, err := sc.LearnerMode()
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	return mode
 }
 
 // budget is the per-core instruction window a recording must cover for a
@@ -414,57 +353,25 @@ func RunMixPublic(gens []trace.Generator, cores int, scheme Scheme, pf PrefetchC
 	return runMix(gens, cores, scheme, pf, sc)
 }
 
-// runMix simulates one mix under one scheme and returns the result. When
-// the Scale selects an actor/learner mode, every CHROME agent the factory
-// builds is switched before the run, and every policy with learner
-// machinery is drained before any statistic is read — so callers (UPKSA,
-// table rendering) never race the learner goroutine.
+// runMix simulates one mix under one scheme and returns the result.
 func runMix(gens []trace.Generator, cores int, scheme Scheme, pf PrefetchConfig, sc Scale) sim.Result {
 	if sc.Sampling == "simpoint" {
 		return runMixSampled(gens, cores, scheme, pf, sc)
 	}
-	sys, closePolicies := sc.newMixSystem(gens, cores, scheme, pf)
-	res := sys.Run(sc.Warmup, sc.Measure)
-	closePolicies()
+	res := sc.newMixSystem(gens, cores, scheme, pf).Run(sc.Warmup, sc.Measure)
 	res.PolicyName = scheme.Name
 	countInstructions(res)
 	return res
 }
 
-// newMixSystem constructs one cell's simulated system — scaled geometry,
-// the mix's prefetchers, the scheme's policy (wrapped for the configured
-// actor/learner mode) — and returns it with a close function that shuts
-// down any learner goroutines the construction spawned.
-func (sc Scale) newMixSystem(gens []trace.Generator, cores int, scheme Scheme, pf PrefetchConfig) (*sim.System, func()) {
+// newMixSystem constructs one cell's simulated system: scaled geometry,
+// the mix's prefetchers, and the scheme's policy.
+func (sc Scale) newMixSystem(gens []trace.Generator, cores int, scheme Scheme, pf PrefetchConfig) *sim.System {
 	cfg := sim.ScaledConfig(cores)
 	cfg.L1Prefetcher = pf.L1
 	cfg.L2Prefetcher = pf.L2
 	cfg.NoMono = sc.NoMono
-	factory := scheme.Factory
-	var made []cache.Policy
-	if mode := sc.learnerMode(); mode != chrome.LearnerInline {
-		inner := factory
-		factory = func(sets, ways, cores int, obstructed func(mem.CoreID) bool) cache.Policy {
-			p := inner(sets, ways, cores, obstructed)
-			if a, ok := p.(*chrome.Agent); ok {
-				a.SetLearnerOptions(chrome.LearnerOptions{
-					Mode:      mode,
-					Shards:    sc.ActorShards,
-					Staleness: sc.SnapshotStaleness,
-				})
-			}
-			made = append(made, p)
-			return p
-		}
-	}
-	sys := sim.New(cfg, gens, factory)
-	return sys, func() {
-		for _, p := range made {
-			if c, ok := p.(interface{ Close() }); ok {
-				c.Close()
-			}
-		}
-	}
+	return sim.New(cfg, gens, scheme.Factory)
 }
 
 // representativeOrder ranks SPEC profiles by behavioural diversity so

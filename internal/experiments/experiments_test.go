@@ -21,8 +21,8 @@ func tinyScale() Scale {
 
 func TestRunnersRegistry(t *testing.T) {
 	runners := Runners()
-	if len(runners) != 19 {
-		t.Fatalf("runner count = %d, want 19", len(runners))
+	if len(runners) != 18 {
+		t.Fatalf("runner count = %d, want 18", len(runners))
 	}
 	seen := map[string]bool{}
 	for _, r := range runners {
@@ -39,6 +39,24 @@ func TestRunnersRegistry(t *testing.T) {
 	}
 	if _, err := RunnerByID("nope"); err == nil {
 		t.Fatal("expected error for unknown id")
+	}
+}
+
+// TestScaleValidate covers the friendly-error path CLI flag validation
+// reports through: the preset scales pass, and a bad selector names the
+// valid modes instead of panicking deep in a runner.
+func TestScaleValidate(t *testing.T) {
+	for _, sc := range []Scale{{}, QuickScale(), FullScale(), tinyScale()} {
+		if err := sc.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil", sc, err)
+		}
+	}
+	err := Scale{Sampling: "bogus"}.Validate()
+	if err == nil || !strings.Contains(err.Error(), "none, simpoint") {
+		t.Fatalf("Validate error should list valid modes, got %v", err)
+	}
+	if strings.Contains(err.Error(), "panic") {
+		t.Errorf("error leaks panic text: %v", err)
 	}
 }
 

@@ -49,7 +49,6 @@ func Runners() []Runner {
 		{"fig11ext", "Extension: scalability at 16/32/64 cores", Fig11Ext},
 		{"fig12", "CHROME vs N-CHROME", Fig12},
 		{"fig13", "GAP unseen workloads", Fig13},
-		{"staleness", "Extension: snapshot staleness sweep", StalenessSweep},
 		{"fig14", "Alternative prefetching schemes", Fig14},
 		{"fig15", "State-feature ablation", Fig15},
 		{"fig16", "Hyper-parameter sensitivity", Fig16},

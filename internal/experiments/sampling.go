@@ -148,8 +148,7 @@ func runMixSampled(gens []trace.Generator, cores int, scheme Scheme, pf Prefetch
 		stitched[i] = trace.NewStitched(r.Clone(), starts, segLen)
 	}
 
-	sys, closePolicies := sc.newMixSystem(stitched, cores, scheme, pf)
-	defer closePolicies()
+	sys := sc.newMixSystem(stitched, cores, scheme, pf)
 
 	nWin := float64(tEnd - tStart)
 	est := sim.Result{

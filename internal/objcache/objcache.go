@@ -323,16 +323,6 @@ func (c *Cache) PolicyName() string {
 	return s.pol.Name()
 }
 
-// Close releases policy resources (a no-op for inline-mode agents, but
-// part of the agent contract).
-func (c *Cache) Close() {
-	for _, s := range c.shards {
-		s.mu.Lock()
-		s.pol.Close()
-		s.mu.Unlock()
-	}
-}
-
 // get serves one lookup: count, touch, re-band.
 //
 //chromevet:locked mu

@@ -83,7 +83,6 @@ func TestSeededReplayDeterministic(t *testing.T) {
 			cfg := objcache.Config{Shards: 1, CapacityBytes: 96 << 10, Policy: pol, Seed: 42}
 			run := func() snapshot {
 				c := objcache.New(cfg)
-				defer c.Close()
 				driveStream(c, 7, 20_000, 512)
 				return snapshotOf(c, 512)
 			}
@@ -111,7 +110,6 @@ func TestStatsConservation(t *testing.T) {
 	for _, pol := range []string{"lru", "chrome"} {
 		t.Run(pol, func(t *testing.T) {
 			c := objcache.New(objcache.Config{Shards: 8, CapacityBytes: 512 << 10, Policy: pol, Seed: 3})
-			defer c.Close()
 			workers := runtime.GOMAXPROCS(0)
 			if workers < 4 {
 				workers = 4
@@ -161,7 +159,6 @@ func TestStatsConservation(t *testing.T) {
 func TestLRUEvictionOrder(t *testing.T) {
 	// Each object costs 1+3+64 = 68 bytes; capacity fits two.
 	c := objcache.New(objcache.Config{Shards: 1, CapacityBytes: 140, Policy: "lru"})
-	defer c.Close()
 	c.Set("a", []byte("one"))
 	c.Set("b", []byte("two"))
 	if _, ok := c.Get("a"); !ok {
@@ -187,7 +184,6 @@ func TestLRUEvictionOrder(t *testing.T) {
 // never enter the store, as fills or as updates.
 func TestOversizeBypass(t *testing.T) {
 	c := objcache.New(objcache.Config{Shards: 1, CapacityBytes: 256, Policy: "lru"})
-	defer c.Close()
 	big := make([]byte, 512)
 	c.Set("huge", big)
 	if _, ok := c.Get("huge"); ok {
@@ -210,7 +206,6 @@ func TestOversizeBypass(t *testing.T) {
 // TestDeleteAndResize pins the byte ledger across updates and deletes.
 func TestDeleteAndResize(t *testing.T) {
 	c := objcache.New(objcache.Config{Shards: 1, CapacityBytes: 1 << 20, Policy: "lru"})
-	defer c.Close()
 	c.Set("k", make([]byte, 100))
 	before := c.SizeBytes()
 	c.Set("k", make([]byte, 300))
@@ -235,7 +230,6 @@ func TestDeleteAndResize(t *testing.T) {
 // TestPolicyName pins the report label plumbing.
 func TestPolicyName(t *testing.T) {
 	c := objcache.New(objcache.Config{Policy: "chrome", CapacityBytes: 1 << 20})
-	defer c.Close()
 	if c.PolicyName() != "chrome" {
 		t.Errorf("PolicyName = %q, want chrome", c.PolicyName())
 	}

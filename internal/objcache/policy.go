@@ -39,8 +39,6 @@ type Policy interface {
 	Touch(r Request) uint8
 	// Name identifies the policy in reports.
 	Name() string
-	// Close releases policy resources.
-	Close()
 }
 
 // newPolicy builds the shard's policy from the cache configuration.
@@ -84,7 +82,6 @@ type lruPolicy struct{}
 func (lruPolicy) Admit(Request) (uint8, bool) { return 0, true }
 func (lruPolicy) Touch(Request) uint8         { return 0 }
 func (lruPolicy) Name() string                { return "lru" }
-func (lruPolicy) Close()                      {}
 
 // agentPolicy drives one shard's requests through the lifted CHROME
 // pipeline (chrome.Agent.Step). The mapping from keyed requests to the
@@ -124,5 +121,3 @@ func (p *agentPolicy) Touch(r Request) uint8 {
 }
 
 func (p *agentPolicy) Name() string { return "chrome" }
-
-func (p *agentPolicy) Close() { p.agent.Close() }

@@ -267,23 +267,3 @@ func TestCheckpointRefusesReuseTrackers(t *testing.T) {
 		t.Fatal("SaveCheckpoint with a reuse tracker installed succeeded, want refusal")
 	}
 }
-
-func TestCheckpointRefusesActorLearnerAgent(t *testing.T) {
-	rec := checkpointRecording(t, 2_000)
-	cfg := checkpointTestConfig()
-	sys := New(cfg, replayGens(rec, cfg.Cores), func(sets, ways, cores int, obstructed func(mem.CoreID) bool) cache.Policy {
-		c := chrome.DefaultConfig()
-		c.SampledSets = 256
-		a := chrome.New(c, sets, ways)
-		a.Obstructed = obstructed
-		a.SetLearner(chrome.LearnerSeq)
-		return a
-	})
-	sys.RunPhaseTo(1_000)
-	if err := sys.SaveCheckpoint(&bytes.Buffer{}); err == nil {
-		t.Fatal("SaveCheckpoint of an actor/learner agent succeeded, want refusal")
-	}
-	if ag, ok := sys.LLC().Policy().(*chrome.Agent); ok {
-		ag.Close()
-	}
-}
