@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"chrome/internal/cache"
-	"chrome/internal/cache/mono"
 	intchrome "chrome/internal/chrome"
 	"chrome/internal/mem"
 	"chrome/internal/policy"
@@ -50,25 +49,6 @@ func TestAllocBudget(t *testing.T) {
 		a := intchrome.New(cfg, 2048, 12)
 		c := cache.New(cache.Config{Name: "B", Sets: 2048, Ways: 12}, a)
 		check(t, "cache access (CHROME)", func(i int) {
-			addr := mem.Addr(mem.Mix64(uint64(i)) % (1 << 28) &^ 63)
-			c.Access(mem.Access{PC: mem.PCOf(uint64(i % 31)), Addr: addr, Type: mem.Load, Cycle: mem.CycleOf(uint64(i))})
-		})
-	})
-
-	t.Run("MonoAccessLRU", func(t *testing.T) {
-		c := mono.NewLRU(cache.Config{Name: "B", Sets: 2048, Ways: 12}, policy.NewLRU())
-		check(t, "mono cache access (LRU)", func(i int) {
-			addr := mem.Addr(mem.Mix64(uint64(i)) % (1 << 28) &^ 63)
-			c.Access(mem.Access{PC: 1, Addr: addr, Type: mem.Load, Cycle: mem.CycleOf(uint64(i))})
-		})
-	})
-
-	t.Run("MonoAccessCHROME", func(t *testing.T) {
-		cfg := intchrome.DefaultConfig()
-		cfg.SampledSets = 256
-		a := intchrome.New(cfg, 2048, 12)
-		c := mono.NewCHROME(cache.Config{Name: "B", Sets: 2048, Ways: 12}, a)
-		check(t, "mono cache access (CHROME)", func(i int) {
 			addr := mem.Addr(mem.Mix64(uint64(i)) % (1 << 28) &^ 63)
 			c.Access(mem.Access{PC: mem.PCOf(uint64(i % 31)), Addr: addr, Type: mem.Load, Cycle: mem.CycleOf(uint64(i))})
 		})

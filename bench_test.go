@@ -24,7 +24,6 @@ import (
 	"testing"
 
 	"chrome/internal/cache"
-	"chrome/internal/cache/mono"
 	intchrome "chrome/internal/chrome"
 	"chrome/internal/cpu"
 	"chrome/internal/experiments"
@@ -215,29 +214,6 @@ func BenchmarkCacheAccessCHROME(b *testing.B) {
 	cfg.SampledSets = 256
 	a := intchrome.New(cfg, 2048, 12)
 	c := cache.New(cache.Config{Name: "B", Sets: 2048, Ways: 12}, a)
-	for i := 0; i < b.N; i++ {
-		addr := mem.Addr(mem.Mix64(uint64(i)) % (1 << 28) &^ 63)
-		c.Access(mem.Access{PC: mem.PCOf(uint64(i % 31)), Addr: addr, Type: mem.Load, Cycle: mem.CycleOf(uint64(i))})
-	}
-}
-
-// BenchmarkMonoAccessLRU/CHROME are the monomorphized counterparts of the
-// two cache-access benches above: the same access stream served by the
-// generated per-scheme cache (DESIGN.md §9), so the pair quantifies what
-// devirtualizing the four per-access policy hooks buys.
-func BenchmarkMonoAccessLRU(b *testing.B) {
-	c := mono.NewLRU(cache.Config{Name: "B", Sets: 2048, Ways: 12}, policy.NewLRU())
-	for i := 0; i < b.N; i++ {
-		addr := mem.Addr(mem.Mix64(uint64(i)) % (1 << 28) &^ 63)
-		c.Access(mem.Access{PC: 1, Addr: addr, Type: mem.Load, Cycle: mem.CycleOf(uint64(i))})
-	}
-}
-
-func BenchmarkMonoAccessCHROME(b *testing.B) {
-	cfg := intchrome.DefaultConfig()
-	cfg.SampledSets = 256
-	a := intchrome.New(cfg, 2048, 12)
-	c := mono.NewCHROME(cache.Config{Name: "B", Sets: 2048, Ways: 12}, a)
 	for i := 0; i < b.N; i++ {
 		addr := mem.Addr(mem.Mix64(uint64(i)) % (1 << 28) &^ 63)
 		c.Access(mem.Access{PC: mem.PCOf(uint64(i % 31)), Addr: addr, Type: mem.Load, Cycle: mem.CycleOf(uint64(i))})

@@ -96,7 +96,6 @@ func Analyzers() []*Analyzer {
 		analyzerGlobalMut(),
 		analyzerConcPrim(),
 		analyzerHotAlloc(),
-		analyzerHotIface(),
 		analyzerFrozenShare(),
 		analyzerUnits(),
 		analyzerHwWidth(),

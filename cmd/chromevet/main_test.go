@@ -83,7 +83,6 @@ func fixtureLoader(t *testing.T) *Loader {
 	l.Override("chrome/internal/policy/parfixture", filepath.Join(base, "aliasshare"))
 	l.Override("chrome/internal/cache/parfixture", filepath.Join(base, "concprim"))
 	l.Override("chrome/internal/vetfixture/hotalloc", filepath.Join(base, "hotalloc"))
-	l.Override("chrome/internal/vetfixture/hotiface", filepath.Join(base, "hotiface"))
 	l.Override("chrome/internal/vetfixture/frozenshare", filepath.Join(base, "frozenshare"))
 	l.Override("chrome/internal/vetfixture/units", filepath.Join(base, "units"))
 	l.Override("chrome/internal/vetfixture/hwwidth", filepath.Join(base, "hwwidth"))
@@ -122,7 +121,6 @@ func TestFixtures(t *testing.T) {
 		{name: "concprim", paths: []string{"chrome/internal/cache/parfixture"}, dirs: []string{"concprim"},
 			analyzers: []string{"concprim", "lockorder"}},
 		{name: "hotalloc", paths: []string{"chrome/internal/vetfixture/hotalloc"}, dirs: []string{"hotalloc"}},
-		{name: "hotiface", paths: []string{"chrome/internal/vetfixture/hotiface"}, dirs: []string{"hotiface"}},
 		{name: "frozenshare", paths: []string{"chrome/internal/vetfixture/frozenshare"}, dirs: []string{"frozenshare"}},
 		{name: "units", paths: []string{"chrome/internal/vetfixture/units"}, dirs: []string{"units"}},
 		{name: "hwwidth", paths: []string{"chrome/internal/vetfixture/hwwidth"}, dirs: []string{"hwwidth"}},

@@ -46,7 +46,6 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 		replay   = flag.Bool("replay", true, "record each workload stream once and replay it across schemes and cells")
 		traceDir = flag.String("tracedir", "", "persist recordings to this directory and reuse them across runs (implies -replay)")
-		monoOn   = flag.Bool("mono", true, "use the monomorphized per-scheme access loop; -mono=false forces interface dispatch (byte-identical output, slower)")
 		warmup   = flag.Uint64("warmup", 0, "override the scale's per-core warmup instruction budget (0 = scale default)")
 		measure  = flag.Uint64("measure", 0, "override the scale's per-core measured instruction budget (0 = scale default)")
 		sampling = flag.String("sampling", "none", "measurement strategy: none (exact full budget) | simpoint (weighted representative intervals)")
@@ -115,7 +114,6 @@ func main() {
 	}
 	sc.Parallelism = *jobs
 	sc.NoReplay = !*replay && *traceDir == ""
-	sc.NoMono = !*monoOn
 	sc.Sampling = *sampling
 	sc.SPInterval = mem.InstrOf(*spInt)
 	sc.SPWarmup = mem.InstrOf(*spWarm)
@@ -172,8 +170,8 @@ func main() {
 
 	// Throughput numbers are only comparable with the environment pinned;
 	// report it up front so every sim_MIPS figure below is attributable.
-	fmt.Printf("env: %s, GOMAXPROCS=%d, access loop=%s%s\n\n",
-		runtime.Version(), runtime.GOMAXPROCS(0), accessLoop(sc), samplingNote(sc))
+	fmt.Printf("env: %s, GOMAXPROCS=%d%s\n\n",
+		runtime.Version(), runtime.GOMAXPROCS(0), samplingNote(sc))
 
 	start := time.Now()
 	var all []experiments.Report
@@ -205,17 +203,6 @@ func main() {
 		}
 		fmt.Println("wrote", *mdOut)
 	}
-}
-
-// accessLoop names the cache access chain the Scale selects: the
-// monomorphized per-scheme loop (default) or the interface-dispatched
-// fallback (-mono=false). Schemes outside the mono registry fall back to
-// interface dispatch regardless; all registered schemes honour this.
-func accessLoop(sc experiments.Scale) string {
-	if sc.NoMono {
-		return "interface"
-	}
-	return "mono"
 }
 
 // samplingNote renders the active interval-sampling knobs, or nothing for

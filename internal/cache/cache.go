@@ -168,13 +168,12 @@ type Evicted struct {
 
 // Cache is one set-associative cache level.
 type Cache struct {
-	cfg      Config
-	setShift uint
-	setMask  uint64
-	blocks   []Block // sets*ways, row-major by set
-	policy   Policy
-	stats    Stats
-	epoch    uint32 // stats generation, bumped by ResetStats
+	cfg     Config
+	setMask uint64
+	blocks  []Block // sets*ways, row-major by set
+	policy  Policy
+	stats   Stats
+	epoch   uint32 // stats generation, bumped by ResetStats
 
 	// evictTracker, when non-nil, records unused evictions so Fig. 2's
 	// "re-requested later" split can be measured.
@@ -314,7 +313,7 @@ func (c *Cache) onHit(setIdx mem.SetIdx, way int, set []Block, acc mem.Access) R
 		}
 		b.Used = true
 	}
-	c.policy.OnHit(setIdx, way, set, acc) //chromevet:allow hotiface -- interface fallback path: registered schemes run the devirtualized mono chain instead (DESIGN.md §9)
+	c.policy.OnHit(setIdx, way, set, acc)
 	return res
 }
 
@@ -334,7 +333,7 @@ func (c *Cache) onMiss(setIdx mem.SetIdx, set []Block, acc mem.Access) Result {
 		return Result{}
 	}
 
-	way, bypass := c.policy.Victim(setIdx, set, acc) //chromevet:allow hotiface -- interface fallback path: registered schemes run the devirtualized mono chain instead (DESIGN.md §9)
+	way, bypass := c.policy.Victim(setIdx, set, acc)
 	if bypass {
 		c.stats.Bypasses++
 		if c.bypassTracker != nil {
@@ -343,7 +342,7 @@ func (c *Cache) onMiss(setIdx mem.SetIdx, set []Block, acc mem.Access) Result {
 		return Result{Bypassed: true}
 	}
 	if way < 0 || way >= c.cfg.Ways {
-		panic(fmt.Sprintf("cache %s: policy %s returned invalid victim way %d", c.cfg.Name, c.policy.Name(), way)) //chromevet:allow hotiface -- panic path, never taken on the steady-state loop
+		panic(fmt.Sprintf("cache %s: policy %s returned invalid victim way %d", c.cfg.Name, c.policy.Name(), way))
 	}
 
 	res := Result{}
@@ -369,7 +368,7 @@ func (c *Cache) onMiss(setIdx mem.SetIdx, set []Block, acc mem.Access) Result {
 			Used:       victim.Used,
 			Prefetched: victim.Prefetched,
 		}
-		c.policy.OnEvict(setIdx, way, set) //chromevet:allow hotiface -- interface fallback path: registered schemes run the devirtualized mono chain instead (DESIGN.md §9)
+		c.policy.OnEvict(setIdx, way, set)
 	}
 
 	*victim = Block{
@@ -388,7 +387,7 @@ func (c *Cache) onMiss(setIdx mem.SetIdx, set []Block, acc mem.Access) Result {
 		c.stats.PrefetchFills++
 	}
 	res.Block = victim
-	c.policy.OnFill(setIdx, way, set, acc) //chromevet:allow hotiface -- interface fallback path: registered schemes run the devirtualized mono chain instead (DESIGN.md §9)
+	c.policy.OnFill(setIdx, way, set, acc)
 	return res
 }
 

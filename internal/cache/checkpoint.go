@@ -30,8 +30,8 @@ type Checkpointable interface {
 	LoadState(dec *state.Dec) error
 }
 
-// SaveBlocks encodes a block array (sets×ways, row-major).
-func SaveBlocks(enc *state.Enc, blocks []Block) {
+// saveBlocks encodes a block array (sets×ways, row-major).
+func saveBlocks(enc *state.Enc, blocks []Block) {
 	enc.Int(len(blocks))
 	for i := range blocks {
 		b := &blocks[i]
@@ -49,9 +49,9 @@ func SaveBlocks(enc *state.Enc, blocks []Block) {
 	}
 }
 
-// LoadBlocks decodes a block array saved by SaveBlocks into blocks, which
+// loadBlocks decodes a block array saved by saveBlocks into blocks, which
 // must have the geometry the checkpoint was taken at.
-func LoadBlocks(dec *state.Dec, blocks []Block) {
+func loadBlocks(dec *state.Dec, blocks []Block) {
 	if !dec.ExpectLen("cache blocks", dec.Int(), len(blocks)) {
 		return
 	}
@@ -71,8 +71,8 @@ func LoadBlocks(dec *state.Dec, blocks []Block) {
 	}
 }
 
-// SaveStats encodes the per-level counters.
-func SaveStats(enc *state.Enc, s *Stats) {
+// saveStats encodes the per-level counters.
+func saveStats(enc *state.Enc, s *Stats) {
 	enc.U64(s.DemandLoadHits)
 	enc.U64(s.DemandLoadMisses)
 	enc.U64(s.DemandStoreHits)
@@ -91,8 +91,8 @@ func SaveStats(enc *state.Enc, s *Stats) {
 	enc.U64(s.WritebackMisses)
 }
 
-// LoadStats decodes counters saved by SaveStats.
-func LoadStats(dec *state.Dec, s *Stats) {
+// loadStats decodes counters saved by saveStats.
+func loadStats(dec *state.Dec, s *Stats) {
 	s.DemandLoadHits = dec.U64()
 	s.DemandLoadMisses = dec.U64()
 	s.DemandStoreHits = dec.U64()
@@ -124,8 +124,8 @@ func (c *Cache) SaveState(enc *state.Enc) error {
 	if c.evictTracker != nil || c.bypassTracker != nil {
 		return fmt.Errorf("%w: %s has reuse trackers installed", ErrNotCheckpointable, c.cfg.Name)
 	}
-	SaveBlocks(enc, c.blocks)
-	SaveStats(enc, &c.stats)
+	saveBlocks(enc, c.blocks)
+	saveStats(enc, &c.stats)
 	enc.U32(c.epoch)
 	return nil
 }
@@ -135,8 +135,8 @@ func (c *Cache) LoadState(dec *state.Dec) error {
 	if c.evictTracker != nil || c.bypassTracker != nil {
 		return fmt.Errorf("%w: %s has reuse trackers installed", ErrNotCheckpointable, c.cfg.Name)
 	}
-	LoadBlocks(dec, c.blocks)
-	LoadStats(dec, &c.stats)
+	loadBlocks(dec, c.blocks)
+	loadStats(dec, &c.stats)
 	c.epoch = dec.U32()
 	return dec.Err()
 }

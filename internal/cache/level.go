@@ -2,12 +2,9 @@ package cache
 
 import "chrome/internal/mem"
 
-// Level is the cache-level contract the simulator drives: the generic
-// interface-dispatched *Cache and the monomorphized per-scheme caches of
-// internal/cache/mono both satisfy it. The simulator keeps hot access
-// chains on concrete types and uses Level only for cold operations (stats,
-// reset, tracker installation, test accessors) plus the single annotated
-// dynamic boundary at the shared LLC (see DESIGN.md §9).
+// Level is the method set of a cache level. *Cache is its only
+// implementation; the simulator uses *Cache directly, and Level is kept
+// because the repository benchmark (bench/mix.go) names it.
 type Level interface {
 	// Access performs one request against the level.
 	Access(acc mem.Access) Result

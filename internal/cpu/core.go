@@ -125,7 +125,7 @@ func (c *Core) completeOne(complete mem.Cycle) {
 //
 //chromevet:hot
 func (c *Core) Step() {
-	rec := c.gen.Next() //chromevet:allow hotiface -- workload-selection boundary: the generator mix is chosen per experiment at run time
+	rec := c.gen.Next()
 	for i := uint8(0); i < rec.Gap; i++ {
 		issue := c.issueSlot(0)
 		c.completeOne(issue + 1)

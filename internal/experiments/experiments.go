@@ -44,11 +44,6 @@ type Scale struct {
 	// byte-identical to live ones (TestReplayOffMatchesOn) and every scheme
 	// in a sweep shares one frozen recording per workload.
 	NoReplay bool
-	// NoMono forces the interface-dispatched cache chain instead of the
-	// monomorphized per-scheme access loop (DESIGN.md §9). Byte-identical
-	// output either way (TestMonoMatchesInterface); used by the CI
-	// equivalence gate and for attributing measured throughput.
-	NoMono bool
 	// Sampling selects the measurement strategy: "" or "none" simulates the
 	// full warmup+measure budget exactly (byte-identical to before the knob
 	// existed); "simpoint" profiles the recordings in fixed-instruction
@@ -370,7 +365,6 @@ func (sc Scale) newMixSystem(gens []trace.Generator, cores int, scheme Scheme, p
 	cfg := sim.ScaledConfig(cores)
 	cfg.L1Prefetcher = pf.L1
 	cfg.L2Prefetcher = pf.L2
-	cfg.NoMono = sc.NoMono
 	return sim.New(cfg, gens, scheme.Factory)
 }
 

@@ -11,9 +11,12 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"chrome/internal/sim"
+	"chrome/internal/workload"
 )
 
-var update = flag.Bool("update", false, "rewrite the stored report digests under testdata/")
+var update = flag.Bool("update", false, "rewrite the stored digests under testdata/")
 
 // reportDigest hashes a report's table CSV plus its summary, rendered with
 // shortest round-trip floats in sorted key order: any change to a reported
@@ -32,21 +35,12 @@ func reportDigest(r Report) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestFig12Digest pins Fig12 at the tiny scale (CHROME and N-CHROME at
-// 4/8/16 cores) to a committed SHA-256. It is an oracle on the agent's
-// reported numbers that a change to both the agent and its tests cannot
-// pass. Regenerate with `go test ./internal/experiments -run Fig12Digest
-// -update` only when a change is meant to move the figure.
-func TestFig12Digest(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-backed")
-	}
-	var lines []string
-	for _, rep := range Fig12(tinyScale()) {
-		lines = append(lines, rep.ID+" "+reportDigest(rep))
-	}
+// checkDigests compares got against testdata/<name>.sha256, rewriting the
+// file first under -update.
+func checkDigests(t *testing.T, name string, lines []string) {
+	t.Helper()
 	got := strings.Join(lines, "\n") + "\n"
-	path := filepath.Join("testdata", "fig12.sha256")
+	path := filepath.Join("testdata", name+".sha256")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -60,6 +54,58 @@ func TestFig12Digest(t *testing.T) {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
 	if got != string(want) {
-		t.Fatalf("Fig12 digest changed:\n got  %s want %s", got, want)
+		t.Fatalf("%s digest changed:\n got  %s want %s", name, got, want)
 	}
+}
+
+// TestReportDigests pins a set of runners at the tiny scale to committed
+// SHA-256 digests of their reports. The set covers every scheme (extC),
+// both trackers (fig02, fig09), prefetcher variation (fig03), the
+// heterogeneous mixes (fig10) and the N-CHROME agent at 4/8/16 cores
+// (fig12). It is an oracle on the reported numbers that a change to both
+// the simulator and its tests cannot pass. Regenerate with `go test
+// ./internal/experiments -run ReportDigests -update` only when a change is
+// meant to move the figures.
+func TestReportDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed")
+	}
+	for _, id := range []string{"fig02", "fig03", "fig09", "fig10", "fig12", "extC"} {
+		t.Run(id, func(t *testing.T) {
+			r, err := RunnerByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var lines []string
+			for _, rep := range r.Run(tinyScale()) {
+				lines = append(lines, rep.ID+" "+reportDigest(rep))
+			}
+			checkDigests(t, id, lines)
+		})
+	}
+}
+
+// TestSchemeResultDigests pins the full sim.Result of every registered
+// scheme on the paper's Table V geometry (sim.PaperConfig, 4 cores, default
+// prefetchers) for two heterogeneous mixes. The result is rendered with %+v,
+// which prints floats in shortest round-trip form, so the digest moves with
+// any changed IPC bit, cache counter or DRAM transfer count.
+func TestSchemeResultDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-backed")
+	}
+	var lines []string
+	for _, seed := range []uint64{1, 7} {
+		mix := workload.HeterogeneousMixes(4, 1, seed)[0]
+		for _, s := range AllSchemes() {
+			cfg := sim.PaperConfig(4)
+			pf := PFDefault()
+			cfg.L1Prefetcher = pf.L1
+			cfg.L2Prefetcher = pf.L2
+			res := sim.New(cfg, mix.Generators(), s.Factory).Run(2_000, 10_000)
+			sum := sha256.Sum256(fmt.Appendf(nil, "%+v", res))
+			lines = append(lines, fmt.Sprintf("seed%d %s %s", seed, s.Name, hex.EncodeToString(sum[:])))
+		}
+	}
+	checkDigests(t, "scheme-results", lines)
 }

@@ -32,19 +32,19 @@ var checkpointMagic = [4]byte{'C', 'H', 'K', 'P'}
 const checkpointVersion = 1
 
 // fingerprint summarizes the construction parameters a checkpoint is only
-// valid for: geometry, timing, core count, access mode, and the installed
+// valid for: geometry, timing, core count, and the installed
 // policy/prefetcher names. Factories (function fields) are deliberately
 // excluded — their *products'* names stand in for them.
 func (s *System) fingerprint() string {
 	c := s.cfg
 	return fmt.Sprintf(
-		"cores=%d cpu=%d/%d l1=%dx%d@%d m%d l2=%dx%d@%d m%d llc=%dx%d@%d m%d dram=%+v pfq=%d camat=%d mode=%s policy=%s l1pf=%s l2pf=%s",
+		"cores=%d cpu=%d/%d l1=%dx%d@%d m%d l2=%dx%d@%d m%d llc=%dx%d@%d m%d dram=%+v pfq=%d camat=%d policy=%s l1pf=%s l2pf=%s",
 		c.Cores, c.CPU.Width, c.CPU.ROB,
 		c.L1Sets, c.L1Ways, c.L1Latency, c.L1MSHRs,
 		c.L2Sets, c.L2Ways, c.L2Latency, c.L2MSHRs,
 		c.LLCSets, c.LLCWays, c.LLCLatency, c.LLCMSHRs,
 		c.DRAM, c.PrefetchQueueMax, c.CAMATEpoch,
-		s.AccessMode(), s.LLC().Policy().Name(),
+		s.llc.Policy().Name(),
 		s.l1pf[0].Name(), s.l2pf[0].Name(),
 	)
 }
@@ -57,13 +57,8 @@ func (s *System) saveState(enc *state.Enc) error {
 			return fmt.Errorf("core %d: %w", i, err)
 		}
 	}
-	levels := s.checkpointLevels()
-	for _, lv := range levels {
-		ck, ok := lv.level.(cache.Checkpointable)
-		if !ok {
-			return fmt.Errorf("%s does not support checkpointing", lv.name)
-		}
-		if err := ck.SaveState(enc); err != nil {
+	for _, lv := range s.checkpointLevels() {
+		if err := lv.level.SaveState(enc); err != nil {
 			return fmt.Errorf("%s: %w", lv.name, err)
 		}
 		pck, ok := lv.level.Policy().(cache.Checkpointable)
@@ -112,11 +107,7 @@ func (s *System) loadState(dec *state.Dec) error {
 		}
 	}
 	for _, lv := range s.checkpointLevels() {
-		ck, ok := lv.level.(cache.Checkpointable)
-		if !ok {
-			return fmt.Errorf("%s does not support checkpointing", lv.name)
-		}
-		if err := ck.LoadState(dec); err != nil {
+		if err := lv.level.LoadState(dec); err != nil {
 			return fmt.Errorf("%s: %w", lv.name, err)
 		}
 		pck, ok := lv.level.Policy().(cache.Checkpointable)
@@ -162,16 +153,16 @@ func (s *System) loadState(dec *state.Dec) error {
 // the fixed serialization order (per-core L1 then L2, then the LLC).
 type namedLevel struct {
 	name  string
-	level cache.Level
+	level *cache.Cache
 }
 
 func (s *System) checkpointLevels() []namedLevel {
 	var out []namedLevel
 	for i := range s.cores {
-		out = append(out, namedLevel{fmt.Sprintf("core %d L1", i), s.L1(i)})
-		out = append(out, namedLevel{fmt.Sprintf("core %d L2", i), s.L2(i)})
+		out = append(out, namedLevel{fmt.Sprintf("core %d L1", i), s.l1[i]})
+		out = append(out, namedLevel{fmt.Sprintf("core %d L2", i), s.l2[i]})
 	}
-	return append(out, namedLevel{"LLC", s.LLC()})
+	return append(out, namedLevel{"LLC", s.llc})
 }
 
 // saveState serializes an MSHR file: the outstanding-completion heap and

@@ -124,13 +124,12 @@ func TestCheckpointedResumeMatchesStraightRun(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundTripThroughMeasurement saves after BeginMeasurement on
-// the interface (NoMono) chain, covering the non-mono restore path.
+// TestCheckpointRoundTripThroughMeasurement saves after BeginMeasurement,
+// so the restored run must carry the reset measurement-window counters.
 func TestCheckpointRoundTripThroughMeasurement(t *testing.T) {
 	const warmup, measure = 4_000, 12_000
 	rec := checkpointRecording(t, warmup+measure)
 	cfg := checkpointTestConfig()
-	cfg.NoMono = true
 	factory := func(sets, ways, cores int, _ func(mem.CoreID) bool) cache.Policy {
 		return policy.NewSRRIP(sets, ways)
 	}
@@ -152,7 +151,7 @@ func TestCheckpointRoundTripThroughMeasurement(t *testing.T) {
 	}
 	b.RunPhaseTo(warmup + measure)
 	if got := b.Collect(); !reflect.DeepEqual(want, got) {
-		t.Fatalf("NoMono resumed run diverged:\nstraight: %+v\nresumed:  %+v", want, got)
+		t.Fatalf("resumed run diverged:\nstraight: %+v\nresumed:  %+v", want, got)
 	}
 }
 

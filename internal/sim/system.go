@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"chrome/internal/cache"
-	"chrome/internal/cache/mono"
 	"chrome/internal/camat"
 	"chrome/internal/cpu"
 	"chrome/internal/mem"
@@ -61,11 +60,8 @@ type Config struct {
 	// CAMATEpoch is the C-AMAT measurement period (0 = paper's 100K).
 	CAMATEpoch mem.Cycle
 
-	// NoMono disables the monomorphized access path, forcing the
-	// interface-dispatched cache.Cache chain even for schemes with a
-	// registered mono instantiation. The two paths are byte-identical at
-	// equal seeds (TestMonoMatchesInterface); this switch exists for the
-	// equivalence gates and for attributing measured throughput.
+	// Deprecated: NoMono does nothing. The simulator has one cache chain;
+	// the field is kept only because bench/mix.go sets it.
 	NoMono bool
 }
 
@@ -106,33 +102,21 @@ func baseConfig(cores int) Config {
 	}
 }
 
-// System is one assembled simulation instance.
-//
-// The cache hierarchy exists in exactly one of two forms. In the default
-// monomorphized form (DESIGN.md §9) the private levels are concrete
-// *mono.LRUCache values and the LLC is the scheme's generated mono cache
-// behind one cache.Level boundary — every policy hook below that boundary
-// is a direct call. When Config.NoMono is set, or the LLC policy has no
-// mono instantiation (unregistered/test policies), the interface-dispatched
-// *cache.Cache chain is built instead. The unused form's fields are nil.
+// System is one assembled simulation instance. Every cache level is a
+// cache.Cache; the LLC's scheme sits behind its Policy hooks.
 type System struct {
 	cfg   Config
 	cores []*cpu.Core
-	// Interface-dispatched fallback chain.
-	l1  []*cache.Cache
-	l2  []*cache.Cache
-	llc *cache.Cache
-	// Monomorphized chain.
-	monoL1  []*mono.LRUCache
-	monoL2  []*mono.LRUCache
-	monoLLC cache.Level
-	l1pf    []prefetch.Prefetcher
-	l2pf    []prefetch.Prefetcher
-	l1m     []*mshr
-	l2m     []*mshr
-	llcm    *mshr
-	dram    *DRAM
-	mon     *camat.Monitor
+	l1    []*cache.Cache
+	l2    []*cache.Cache
+	llc   *cache.Cache
+	l1pf  []prefetch.Prefetcher
+	l2pf  []prefetch.Prefetcher
+	l1m   []*mshr
+	l2m   []*mshr
+	llcm  *mshr
+	dram  *DRAM
+	mon   *camat.Monitor
 
 	// pfBuf and l2pfBuf are reused prefetch-candidate scratch buffers (one
 	// per training site so a buffer is never both iterated and refilled);
@@ -157,28 +141,13 @@ func New(cfg Config, gens []trace.Generator, factory PolicyFactory) *System { //
 	s := &System{cfg: cfg, dram: NewDRAM(cfg.DRAM)}
 	s.mon = camat.New(cfg.Cores, s.dram.AvgLatency(), cfg.CAMATEpoch)
 	pol := factory(cfg.LLCSets, cfg.LLCWays, cfg.Cores, s.mon.Obstructed)
-	llcCfg := cache.Config{Name: "LLC", Sets: cfg.LLCSets, Ways: cfg.LLCWays}
-	if !cfg.NoMono {
-		s.monoLLC = mono.For(llcCfg, pol)
-	}
-	if s.monoLLC == nil {
-		s.llc = cache.New(llcCfg, pol)
-	}
+	s.llc = cache.New(cache.Config{Name: "LLC", Sets: cfg.LLCSets, Ways: cfg.LLCWays}, pol)
 	s.llcm = newMSHR(cfg.LLCMSHRs * cfg.Cores)
 	l1Cfg := cache.Config{Name: "L1D", Sets: cfg.L1Sets, Ways: cfg.L1Ways}
 	l2Cfg := cache.Config{Name: "L2", Sets: cfg.L2Sets, Ways: cfg.L2Ways}
-	memFn := s.memAccess
-	if s.monoLLC != nil {
-		memFn = s.memAccessMono
-	}
 	for i := 0; i < cfg.Cores; i++ {
-		if s.monoLLC != nil {
-			s.monoL1 = append(s.monoL1, mono.NewLRU(l1Cfg, policy.NewLRU()))
-			s.monoL2 = append(s.monoL2, mono.NewLRU(l2Cfg, policy.NewLRU()))
-		} else {
-			s.l1 = append(s.l1, cache.New(l1Cfg, policy.NewLRU()))
-			s.l2 = append(s.l2, cache.New(l2Cfg, policy.NewLRU()))
-		}
+		s.l1 = append(s.l1, cache.New(l1Cfg, policy.NewLRU()))
+		s.l2 = append(s.l2, cache.New(l2Cfg, policy.NewLRU()))
 		s.l1m = append(s.l1m, newMSHR(cfg.L1MSHRs))
 		s.l2m = append(s.l2m, newMSHR(cfg.L2MSHRs))
 		if cfg.L1Prefetcher != nil {
@@ -191,30 +160,15 @@ func New(cfg Config, gens []trace.Generator, factory PolicyFactory) *System { //
 		} else {
 			s.l2pf = append(s.l2pf, prefetch.NewNone())
 		}
-		core := cpu.New(mem.CoreIDOf(i), cfg.CPU, gens[i], memFn)
+		core := cpu.New(mem.CoreIDOf(i), cfg.CPU, gens[i], s.memAccess)
 		s.cores = append(s.cores, core)
 	}
 	s.sched = make([]*cpu.Core, 0, cfg.Cores)
 	return s
 }
 
-// AccessMode reports which cache access chain the system runs: "mono" when
-// the hierarchy is monomorphized, "interface" for the dynamic-dispatch
-// fallback.
-func (s *System) AccessMode() string {
-	if s.monoLLC != nil {
-		return "mono"
-	}
-	return "interface"
-}
-
 // LLC returns the shared last-level cache.
-func (s *System) LLC() cache.Level {
-	if s.monoLLC != nil {
-		return s.monoLLC
-	}
-	return s.llc
-}
+func (s *System) LLC() *cache.Cache { return s.llc }
 
 // Monitor returns the C-AMAT monitor.
 func (s *System) Monitor() *camat.Monitor { return s.mon }
@@ -226,13 +180,13 @@ func (s *System) DRAM() *DRAM { return s.dram }
 func (s *System) Core(i int) *cpu.Core { return s.cores[i] }
 
 // SetEvictionTracker installs a Fig. 2 unused-eviction tracker on the LLC.
-func (s *System) SetEvictionTracker(t *cache.ReuseTracker) {
-	s.LLC().SetEvictionTracker(t)
+func (s *System) SetEvictionTracker(t *cache.ReuseTracker) { //chromevet:allow aliasshare -- ownership transfer: callers build one tracker per system
+	s.llc.SetEvictionTracker(t)
 }
 
 // SetBypassTracker installs a Fig. 9 bypass-efficiency tracker on the LLC.
-func (s *System) SetBypassTracker(t *cache.ReuseTracker) {
-	s.LLC().SetBypassTracker(t)
+func (s *System) SetBypassTracker(t *cache.ReuseTracker) { //chromevet:allow aliasshare -- ownership transfer: callers build one tracker per system
+	s.llc.SetBypassTracker(t)
 }
 
 // memAccess is the cpu.MemFunc: it walks the hierarchy for one demand
@@ -279,7 +233,7 @@ func (s *System) l1Access(acc mem.Access) mem.Cycle {
 	}
 
 	// Train the L1 prefetcher on demand traffic and issue its candidates.
-	s.pfBuf = s.l1pf[core].Train(acc, res.Hit, s.pfBuf[:0]) //chromevet:allow hotiface -- prefetcher-selection boundary: the scheme is chosen per experiment configuration at run time
+	s.pfBuf = s.l1pf[core].Train(acc, res.Hit, s.pfBuf[:0])
 	s.issuePrefetches(core, acc, s.pfBuf, true)
 	return latency
 }
@@ -337,7 +291,7 @@ func (s *System) l2Access(acc mem.Access, demand bool) mem.Cycle {
 		// issuePrefetches when prefetch fills recurse into l2Access, but
 		// that recursion has demand=false so l2pfBuf is never refilled
 		// while in use.
-		s.l2pfBuf = s.l2pf[core].Train(acc, res.Hit, s.l2pfBuf[:0]) //chromevet:allow hotiface -- prefetcher-selection boundary: the scheme is chosen per experiment configuration at run time
+		s.l2pfBuf = s.l2pf[core].Train(acc, res.Hit, s.l2pfBuf[:0])
 		s.issuePrefetches(core, acc, s.l2pfBuf, false)
 	}
 	return latency
@@ -447,10 +401,10 @@ func (s *System) RunPhaseTo(target mem.Instr) { s.runPhase(target) }
 // BeginMeasurement resets the hierarchy statistics and opens each core's
 // measurement window (the end-of-warmup transition inside Run).
 func (s *System) BeginMeasurement() {
-	s.LLC().ResetStats()
+	s.llc.ResetStats()
 	for i := range s.cores {
-		s.L1(i).ResetStats()
-		s.L2(i).ResetStats()
+		s.l1[i].ResetStats()
+		s.l2[i].ResetStats()
 		s.cores[i].BeginWindow()
 	}
 }
@@ -577,8 +531,8 @@ type Result struct {
 
 func (s *System) collect() Result {
 	r := Result{
-		PolicyName: s.LLC().Policy().Name(),
-		LLC:        *s.LLC().Stats(),
+		PolicyName: s.llc.Policy().Name(),
+		LLC:        *s.llc.Stats(),
 		DRAMReads:  s.dram.Reads(),
 		DRAMWrites: s.dram.Writes(),
 	}
@@ -605,17 +559,7 @@ func (r Result) MPKI() float64 {
 }
 
 // L1 returns core i's private L1 data cache.
-func (s *System) L1(i int) cache.Level {
-	if s.monoLLC != nil {
-		return s.monoL1[i]
-	}
-	return s.l1[i]
-}
+func (s *System) L1(i int) *cache.Cache { return s.l1[i] }
 
 // L2 returns core i's private L2 cache.
-func (s *System) L2(i int) cache.Level {
-	if s.monoLLC != nil {
-		return s.monoL2[i]
-	}
-	return s.l2[i]
-}
+func (s *System) L2(i int) *cache.Cache { return s.l2[i] }

@@ -68,7 +68,7 @@ func Rebase(gen Generator, offset mem.Addr) *Rebased {
 //
 //chromevet:hot
 func (r *Rebased) Next() Record {
-	rec := r.inner.Next() //chromevet:allow hotiface -- workload-selection boundary: the generator mix is chosen per experiment at run time
+	rec := r.inner.Next()
 	rec.Addr += r.offset
 	return rec
 }
@@ -467,10 +467,10 @@ func (g *Mixed) Next() Record {
 	x := g.r.Float64()
 	for i, c := range g.weights {
 		if x <= c {
-			return g.subs[i].Next() //chromevet:allow hotiface -- workload-selection boundary: the generator mix is chosen per experiment at run time
+			return g.subs[i].Next()
 		}
 	}
-	return g.subs[len(g.subs)-1].Next() //chromevet:allow hotiface -- workload-selection boundary: the generator mix is chosen per experiment at run time
+	return g.subs[len(g.subs)-1].Next()
 }
 
 // Reset rewinds all sub-generators and the selector.
@@ -512,7 +512,7 @@ func NewPhased(name string, phaseLen uint64, subs ...Generator) *Phased {
 //
 //chromevet:hot
 func (g *Phased) Next() Record {
-	rec := g.subs[g.idx].Next() //chromevet:allow hotiface -- workload-selection boundary: the generator mix is chosen per experiment at run time
+	rec := g.subs[g.idx].Next()
 	g.count++
 	if g.count%g.phaseLen == 0 {
 		g.idx = (g.idx + 1) % len(g.subs)

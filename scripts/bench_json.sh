@@ -33,7 +33,7 @@ fi
 # microbenches need a time-based budget or construction cost would be
 # folded into a single-iteration ns/op.
 heavy_regex='^(BenchmarkEndToEnd4Core|BenchmarkEndToEnd4CoreReplay|BenchmarkFig03)$'
-micro_regex='^(BenchmarkCacheAccessLRU|BenchmarkCacheAccessCHROME|BenchmarkMonoAccessLRU|BenchmarkMonoAccessCHROME|BenchmarkQTableLookup|BenchmarkQTableUpdate|BenchmarkDRAMAccess|BenchmarkObjCacheLRU|BenchmarkObjCacheCHROME)$'
+micro_regex='^(BenchmarkCacheAccessLRU|BenchmarkCacheAccessCHROME|BenchmarkQTableLookup|BenchmarkQTableUpdate|BenchmarkDRAMAccess|BenchmarkObjCacheLRU|BenchmarkObjCacheCHROME)$'
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
