@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"chrome/internal/sim"
+	"chrome/internal/trace"
 	"chrome/internal/workload"
 )
 
@@ -60,17 +61,18 @@ func checkDigests(t *testing.T, name string, lines []string) {
 
 // TestReportDigests pins a set of runners at the tiny scale to committed
 // SHA-256 digests of their reports. The set covers every scheme (extC),
-// both trackers (fig02, fig09), prefetcher variation (fig03), the
-// heterogeneous mixes (fig10) and the N-CHROME agent at 4/8/16 cores
-// (fig12). It is an oracle on the reported numbers that a change to both
-// the simulator and its tests cannot pass. Regenerate with `go test
+// both trackers (fig02, fig09), prefetcher variation (fig03), the 4-core
+// SPEC sweep (fig06-08), the heterogeneous mixes (fig10), the N-CHROME
+// agent at 4/8/16 cores (fig12), the learning-curve grid (extB) and the
+// storage accounting (tab03-04). It is an oracle on the reported numbers
+// that a change to both the simulator and its tests cannot pass. Regenerate with `go test
 // ./internal/experiments -run ReportDigests -update` only when a change is
 // meant to move the figures.
 func TestReportDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed")
 	}
-	for _, id := range []string{"fig02", "fig03", "fig09", "fig10", "fig12", "extC"} {
+	for _, id := range []string{"fig02", "fig03", "fig06-08", "fig09", "fig10", "fig12", "extB", "extC", "tab03-04"} {
 		t.Run(id, func(t *testing.T) {
 			r, err := RunnerByID(id)
 			if err != nil {
@@ -85,11 +87,21 @@ func TestReportDigests(t *testing.T) {
 	}
 }
 
+// resultDigest hashes a sim.Result rendered with %+v, which prints floats
+// in shortest round-trip form, so the digest moves with any changed IPC
+// bit, cache counter or DRAM transfer count.
+func resultDigest(res sim.Result) string {
+	sum := sha256.Sum256(fmt.Appendf(nil, "%+v", res))
+	return hex.EncodeToString(sum[:])
+}
+
 // TestSchemeResultDigests pins the full sim.Result of every registered
 // scheme on the paper's Table V geometry (sim.PaperConfig, 4 cores, default
-// prefetchers) for two heterogeneous mixes. The result is rendered with %+v,
-// which prints floats in shortest round-trip form, so the digest moves with
-// any changed IPC bit, cache counter or DRAM transfer count.
+// prefetchers) for two heterogeneous mixes. Three more rows pin the core
+// scheduler's interleaving at 1, 4 and 16 cores: LRU on sim.ScaledConfig
+// over a mcf/lbm/omnetpp/libquantum round-robin, where any change to the
+// order cores reach the shared LLC moves the per-core cycles and the LLC
+// counters.
 func TestSchemeResultDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed")
@@ -103,9 +115,21 @@ func TestSchemeResultDigests(t *testing.T) {
 			cfg.L1Prefetcher = pf.L1
 			cfg.L2Prefetcher = pf.L2
 			res := sim.New(cfg, mix.Generators(), s.Factory).Run(2_000, 10_000)
-			sum := sha256.Sum256(fmt.Appendf(nil, "%+v", res))
-			lines = append(lines, fmt.Sprintf("seed%d %s %s", seed, s.Name, hex.EncodeToString(sum[:])))
+			lines = append(lines, fmt.Sprintf("seed%d %s %s", seed, s.Name, resultDigest(res)))
 		}
+	}
+	names := []string{"mcf", "lbm", "omnetpp", "libquantum"}
+	for _, cores := range []int{1, 4, 16} {
+		gens := make([]trace.Generator, cores)
+		for i := range gens {
+			p, err := workload.ByName(names[i%len(names)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			gens[i] = p.New(i)
+		}
+		res := sim.New(sim.ScaledConfig(cores), gens, LRUScheme().Factory).Run(5_000, 20_000)
+		lines = append(lines, fmt.Sprintf("sched%d LRU %s", cores, resultDigest(res)))
 	}
 	checkDigests(t, "scheme-results", lines)
 }
