@@ -6,15 +6,14 @@
 //
 //	chromesim -workload mcf -policy CHROME -cores 4
 //	chromesim -workload "mcf,gcc,milc,omnetpp" -policy CARE -cores 4
+//	chromesim -trace traces/mcf-*.chrec -cores 2   # replay a recording (traces record)
 //	chromesim -list-workloads
 package main
 
 import (
-	"compress/gzip"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,7 +31,7 @@ import (
 func main() {
 	var (
 		wl        = flag.String("workload", "mcf", "workload name, or comma-separated list (one per core)")
-		traceFile = flag.String("trace", "", "replay a binary trace file on every core instead of a workload (see tracegen -o)")
+		traceFile = flag.String("trace", "", "replay a CHRC recording (.chrec, see traces record) on every core instead of a workload")
 		policy    = flag.String("policy", "CHROME", "LLC policy: LRU | Hawkeye | Glider | Mockingjay | CARE | SHiP++ | CHROME | N-CHROME")
 		cores     = flag.Int("cores", 4, "number of cores")
 		pfName    = flag.String("prefetch", "default", "prefetchers: default | stride-streamer | ipcp | none")
@@ -92,16 +91,28 @@ func main() {
 		os.Exit(2)
 	}
 
+	var rec *trace.Recording
+	if *traceFile != "" {
+		rec, err = readRecording(*traceFile)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		// A replayer never wraps, so a recording shorter than the run would
+		// exhaust mid-simulation; refuse it up front instead.
+		if need := *warmup + *measure; rec.Instructions() < need {
+			fmt.Fprintf(os.Stderr, "%s covers %d instructions per core, fewer than -warmup + -measure = %d; re-record it with: traces record -workloads %s -budget %d\n",
+				*traceFile, rec.Instructions(), need, rec.Name(), need)
+			os.Exit(2)
+		}
+		*wl = filepath.Base(*traceFile)
+	}
+
 	build := func() ([]trace.Generator, error) {
-		if *traceFile != "" {
-			recs, err := readTraceFile(*traceFile)
-			if err != nil {
-				return nil, err
-			}
-			name := filepath.Base(*traceFile)
+		if rec != nil {
 			gens := make([]trace.Generator, *cores)
 			for i := range gens {
-				gens[i] = trace.Rebase(trace.NewReplay(name, recs), mem.AddrOf(uint64(i))<<36)
+				gens[i] = rec.Replayer(mem.AddrOf(uint64(i)) << 36)
 			}
 			return gens, nil
 		}
@@ -139,9 +150,6 @@ func main() {
 		return sys.Run(mem.InstrOf(*warmup), mem.InstrOf(*measure)), nil
 	}
 
-	if *traceFile != "" {
-		*wl = filepath.Base(*traceFile)
-	}
 	res, err := run(scheme)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -244,20 +252,15 @@ func pfByName(name string) (experiments.PrefetchConfig, error) {
 	return experiments.PrefetchConfig{}, fmt.Errorf("unknown prefetch config %q", name)
 }
 
-func readTraceFile(path string) ([]trace.Record, error) {
+func readRecording(path string) (*trace.Recording, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var r io.Reader = f
-	if strings.HasSuffix(path, ".gz") {
-		gz, err := gzip.NewReader(f)
-		if err != nil {
-			return nil, err
-		}
-		defer gz.Close()
-		r = gz
+	rec, err := trace.ReadRecording(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return trace.ReadTrace(r)
+	return rec, nil
 }

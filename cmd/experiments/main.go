@@ -44,8 +44,7 @@ func main() {
 		jobs     = flag.Int("j", runtime.NumCPU(), "worker pool size for independent simulation cells (1 = sequential)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
 		memProf  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
-		replay   = flag.Bool("replay", true, "record each workload stream once and replay it across schemes and cells")
-		traceDir = flag.String("tracedir", "", "persist recordings to this directory and reuse them across runs (implies -replay)")
+		traceDir = flag.String("tracedir", "", "persist recordings to this directory and reuse them across runs")
 		warmup   = flag.Uint64("warmup", 0, "override the scale's per-core warmup instruction budget (0 = scale default)")
 		measure  = flag.Uint64("measure", 0, "override the scale's per-core measured instruction budget (0 = scale default)")
 		sampling = flag.String("sampling", "none", "measurement strategy: none (exact full budget) | simpoint (weighted representative intervals)")
@@ -113,7 +112,6 @@ func main() {
 		sc.Measure = mem.InstrOf(*measure)
 	}
 	sc.Parallelism = *jobs
-	sc.NoReplay = !*replay && *traceDir == ""
 	sc.Sampling = *sampling
 	sc.SPInterval = mem.InstrOf(*spInt)
 	sc.SPWarmup = mem.InstrOf(*spWarm)
@@ -191,7 +189,7 @@ func main() {
 		fmt.Printf("(%s completed in %s, %s%s)\n\n", r.ID,
 			time.Since(t0).Round(time.Second),
 			mips(experiments.SimulatedInstructions()-i0, time.Since(t0)),
-			genSplit(workload.GenerationTime()-g0, time.Since(t0), sc.NoReplay))
+			genSplit(workload.GenerationTime()-g0, time.Since(t0)))
 	}
 	fmt.Printf("suite completed in %s at scale=%s (%s)\n",
 		time.Since(start).Round(time.Second), *scale,
@@ -216,13 +214,8 @@ func samplingNote(sc experiments.Scale) string {
 }
 
 // genSplit formats the generation-vs-simulation wall-clock split of a
-// runner. With replay off the split is unobservable (generation happens
-// inside the simulation loop, interleaved with cache accesses), so the
-// measured speedup claim in EXPERIMENTS.md compares whole-runner times.
-func genSplit(gen, total time.Duration, noReplay bool) string {
-	if noReplay {
-		return ", generation interleaved (replay off)"
-	}
+// runner: recording every workload stream once, then replaying it.
+func genSplit(gen, total time.Duration) string {
 	return fmt.Sprintf(", trace gen %s / sim %s",
 		gen.Round(time.Millisecond), (total - gen).Round(time.Millisecond))
 }

@@ -13,13 +13,18 @@
 //
 // Entry points:
 //
-//   - cmd/chromesim:   run one simulation configuration
-//   - cmd/experiments: reproduce the paper's tables and figures
-//   - cmd/tracegen:    inspect synthetic traces
-//   - examples/...:    runnable scenarios using the public APIs
+//   - cmd/chromesim:    run one simulation configuration, over workload
+//     generators or a CHRC recording (-trace)
+//   - cmd/experiments:  reproduce the paper's tables and figures
+//   - cmd/traces:       record, inspect, profile and verify CHRC recordings
+//   - cmd/samplingab:   measure interval sampling against exact runs
+//   - cmd/objbench:     drive the CHROME-managed object cache
+//   - cmd/chromevet:    the repository's static-analysis suite
+//   - examples/...:     runnable scenarios using the public APIs
 //
-// The benchmark harness in bench_test.go regenerates every table and
-// figure of the paper's evaluation section; see DESIGN.md for the
-// experiment index and EXPERIMENTS.md for recorded paper-vs-measured
+// cmd/experiments regenerates every table and figure of the paper's
+// evaluation section. bench_test.go holds one benchmark per paper artifact
+// at a reduced scale plus ablation and micro-benchmarks; see DESIGN.md for
+// the experiment index and EXPERIMENTS.md for recorded paper-vs-measured
 // results.
 package chrome

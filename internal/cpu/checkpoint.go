@@ -10,8 +10,8 @@ import (
 // Checkpoint support: a core's mutable state is its pipeline bookkeeping
 // plus the position of its trace generator. Only replayers expose a seekable
 // cursor — a live generator's internal RNG state cannot be captured — so
-// checkpointing a core requires the replay path (the experiments runner's
-// default) and refuses otherwise.
+// checkpointing a core requires a replayed recording (the experiments
+// runner's only feed) and refuses otherwise.
 
 // seekableGen is the cursor contract trace.Replayer satisfies.
 type seekableGen interface {
@@ -27,7 +27,7 @@ func (c *Core) Gen() interface{ Name() string } { return c.gen }
 func (c *Core) SaveState(enc *state.Enc) error {
 	g, ok := c.gen.(seekableGen)
 	if !ok {
-		return fmt.Errorf("cpu: core %d runs live generator %q; checkpointing requires replayed recordings (-replay)",
+		return fmt.Errorf("cpu: core %d runs live generator %q; checkpointing requires a replayed recording (trace.Recording.Replayer)",
 			c.id.Int(), c.gen.Name())
 	}
 	enc.Int(g.Pos())
@@ -53,7 +53,7 @@ func (c *Core) SaveState(enc *state.Enc) error {
 func (c *Core) LoadState(dec *state.Dec) error {
 	g, ok := c.gen.(seekableGen)
 	if !ok {
-		return fmt.Errorf("cpu: core %d runs live generator %q; checkpoint restore requires replayed recordings (-replay)",
+		return fmt.Errorf("cpu: core %d runs live generator %q; checkpoint restore requires a replayed recording (trace.Recording.Replayer)",
 			c.id.Int(), c.gen.Name())
 	}
 	cursor := dec.Int()

@@ -38,18 +38,11 @@ type Scale struct {
 	// merged deterministically, so the output is byte-identical at any
 	// setting.
 	Parallelism int
-	// NoReplay disables the record-once/replay-many trace engine, falling
-	// back to regenerating every stream live per cell. The zero value
-	// replays: generators are timing-independent, so replayed runs are
-	// byte-identical to live ones (TestReplayOffMatchesOn) and every scheme
-	// in a sweep shares one frozen recording per workload.
-	NoReplay bool
 	// Sampling selects the measurement strategy: "" or "none" simulates the
 	// full warmup+measure budget exactly (byte-identical to before the knob
 	// existed); "simpoint" profiles the recordings in fixed-instruction
 	// intervals, clusters the measurement window, and simulates only
-	// weighted representative intervals (DESIGN.md §10). Requires replay
-	// (incompatible with NoReplay).
+	// weighted representative intervals (DESIGN.md §10).
 	Sampling string
 	// SPInterval is the per-core instruction length of each profiled
 	// interval (0 = DefaultSPInterval). Simpoint sampling only.
@@ -73,9 +66,6 @@ func (sc Scale) Validate() error {
 			return fmt.Errorf("interval sampling knobs (-spinterval/-spwarmup/-spclusters) require -sampling simpoint (have %q)", sc.Sampling)
 		}
 	case "simpoint":
-		if sc.NoReplay {
-			return fmt.Errorf("-sampling simpoint requires the replay engine (remove -noreplay: sampling profiles and seeks frozen recordings)")
-		}
 		if sc.SPClusters < 0 {
 			return fmt.Errorf("cluster count %d is negative (valid: 0 = default %d, or a positive representative count)", sc.SPClusters, DefaultSPClusters)
 		}
@@ -96,21 +86,16 @@ func (sc Scale) Validate() error {
 // run at this scale.
 func (sc Scale) budget() mem.Instr { return sc.Warmup + sc.Measure }
 
-// homoGens builds the per-core generators of a homogeneous mix, shared
-// frozen recordings unless NoReplay.
+// homoGens builds the per-core generators of a homogeneous mix: replayers
+// of one frozen recording per workload, shared by every scheme in a sweep
+// (DESIGN.md §8).
 func (sc Scale) homoGens(p workload.Profile, cores int) []trace.Generator {
-	if sc.NoReplay {
-		return workload.HomogeneousMix(p, cores)
-	}
 	return workload.HomogeneousReplayMix(p, cores, sc.budget())
 }
 
-// mixGens builds a mix's per-core generators, shared frozen recordings
-// unless NoReplay.
+// mixGens builds a mix's per-core generators over shared frozen
+// recordings.
 func (sc Scale) mixGens(m workload.Mix) []trace.Generator {
-	if sc.NoReplay {
-		return m.Generators()
-	}
 	return m.ReplayGenerators(sc.budget())
 }
 

@@ -65,9 +65,9 @@ func checkDigests(t *testing.T, name string, lines []string) {
 // SPEC sweep (fig06-08), the heterogeneous mixes (fig10), the N-CHROME
 // agent at 4/8/16 cores (fig12), the learning-curve grid (extB) and the
 // storage accounting (tab03-04). It is an oracle on the reported numbers
-// that a change to both the simulator and its tests cannot pass. Regenerate with `go test
-// ./internal/experiments -run ReportDigests -update` only when a change is
-// meant to move the figures.
+// that a change to both the simulator and its tests cannot pass.
+// Regenerate with `go test ./internal/experiments -run ReportDigests
+// -update` only when a change is meant to move the figures.
 func TestReportDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed")

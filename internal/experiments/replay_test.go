@@ -13,38 +13,21 @@ import (
 // and a heterogeneous one.
 func TestRunMixReplayIdentical(t *testing.T) {
 	sc := tinyScale()
-	live, replay := sc, sc
-	live.NoReplay = true
 
 	p, err := workload.ByName("mcf")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := runMix(live.homoGens(p, 2), 2, CHROMEScheme(ChromeConfig()), PFDefault(), live)
-	b := runMix(replay.homoGens(p, 2), 2, CHROMEScheme(ChromeConfig()), PFDefault(), replay)
+	a := runMix(workload.HomogeneousMix(p, 2), 2, CHROMEScheme(ChromeConfig()), PFDefault(), sc)
+	b := runMix(sc.homoGens(p, 2), 2, CHROMEScheme(ChromeConfig()), PFDefault(), sc)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("homogeneous cell diverged with replay:\nlive   %+v\nreplay %+v", a, b)
 	}
 
 	m := workload.HeterogeneousMixes(4, 1, sc.Seed)[0]
-	a = runMix(live.mixGens(m), 4, LRUScheme(), PFDefault(), live)
-	b = runMix(replay.mixGens(m), 4, LRUScheme(), PFDefault(), replay)
+	a = runMix(m.Generators(), 4, LRUScheme(), PFDefault(), sc)
+	b = runMix(sc.mixGens(m), 4, LRUScheme(), PFDefault(), sc)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("heterogeneous cell diverged with replay:\nlive   %+v\nreplay %+v", a, b)
-	}
-}
-
-// TestReplayOffMatchesOn checks the claim at the report level: the golden
-// runner set (homoSweep, mixSweep, speedups, learning-curve grids) renders
-// byte-identical output with the replay engine on and off.
-func TestReplayOffMatchesOn(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full golden-runner sweep")
-	}
-	on := tinyScale()
-	off := tinyScale()
-	off.NoReplay = true
-	if got, want := renderGolden(t, on), renderGolden(t, off); got != want {
-		t.Fatalf("replay-on output diverges from replay-off:\n--- replay ---\n%s\n--- live ---\n%s", got, want)
 	}
 }

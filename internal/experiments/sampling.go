@@ -112,7 +112,7 @@ func runMixSampled(gens []trace.Generator, cores int, scheme Scheme, pf Prefetch
 	for i, g := range gens {
 		r, ok := g.(*trace.Replayer)
 		if !ok {
-			panic(fmt.Sprintf("experiments: -sampling=simpoint requires replayed generators, got %T for core %d (do not combine with -noreplay)", g, i))
+			panic(fmt.Sprintf("experiments: -sampling=simpoint requires replayed generators, got %T for core %d", g, i))
 		}
 		reps[i] = r
 	}

@@ -166,7 +166,6 @@ func TestValidateSampling(t *testing.T) {
 	}{
 		{"unknown mode", func(sc *Scale) { sc.Sampling = "simpoints" }, "unknown sampling mode"},
 		{"knobs without mode", func(sc *Scale) { sc.SPInterval = 1000 }, "require -sampling simpoint"},
-		{"noreplay conflict", func(sc *Scale) { sc.Sampling = "simpoint"; sc.NoReplay = true }, "replay engine"},
 		{"negative clusters", func(sc *Scale) { sc.Sampling = "simpoint"; sc.SPClusters = -1 }, "negative"},
 		{"interval over measure", func(sc *Scale) { sc.Sampling = "simpoint"; sc.SPInterval = 10 * sc.Measure }, "exceeds the measure budget"},
 		{"warmup over warmup", func(sc *Scale) { sc.Sampling = "simpoint"; sc.SPWarmup = 10 * sc.Warmup }, "exceeds the full warmup budget"},

@@ -421,9 +421,9 @@ func (s *System) Collect() Result {
 // has retired at least target instructions. It keeps the live cores in a
 // binary min-heap keyed on (cycle, core ID), turning each scheduling
 // decision from an O(cores) scan into an O(log cores) sift — the same
-// total order the scan produced (ties broken by lowest core index), so
-// simulation output is byte-identical. runPhaseLinear preserves the scan
-// as the test oracle.
+// total order a linear scan for the earliest core produces (ties broken by
+// lowest core index). TestSchemeResultDigests pins the resulting
+// interleaving at 1, 4 and 16 cores.
 //
 //chromevet:hot
 func (s *System) runPhase(target mem.Instr) {
@@ -459,7 +459,7 @@ func (s *System) runPhase(target mem.Instr) {
 }
 
 // coreLess orders the scheduler heap: earliest cycle first, ties broken by
-// lowest core ID — exactly the order the linear scan's strict < chose.
+// lowest core ID.
 //
 //chromevet:hot
 func coreLess(a, b *cpu.Core) bool {
@@ -486,26 +486,6 @@ func siftDown(h []*cpu.Core, i int) {
 		}
 		h[i], h[m] = h[m], h[i]
 		i = m
-	}
-}
-
-// runPhaseLinear is the original O(cores)-per-step scheduler, kept as the
-// oracle for TestHeapSchedulerMatchesLinear.
-func (s *System) runPhaseLinear(target mem.Instr) {
-	for {
-		var next *cpu.Core
-		for _, c := range s.cores {
-			if c.Instructions() >= target {
-				continue
-			}
-			if next == nil || c.Cycle() < next.Cycle() {
-				next = c
-			}
-		}
-		if next == nil {
-			return
-		}
-		next.Step()
 	}
 }
 

@@ -8,62 +8,47 @@ import (
 	"chrome/internal/mem"
 )
 
-// seedRecordingBytes serializes a small valid recording in the requested
-// format version for the fuzz seed corpus, so mutation starts from inputs
-// that pass the header checks.
-func seedRecordingBytes(t testing.TB, version uint8) []byte {
+// seedRecordingBytes serializes a small valid recording for the fuzz seed
+// corpus, so mutation starts from inputs that pass the header checks. gap
+// sets record i's gap.
+func seedRecordingBytes(t testing.TB, name string, gap func(i int) uint8) []byte {
 	t.Helper()
-	rec := &Recording{name: "fuzz-seed"}
+	rec := &Recording{name: name}
 	for i := 0; i < 8; i++ {
 		rec.add(Record{
 			PC:        mem.PCOf(0x400000 + uint64(i)*4),
 			Addr:      mem.AddrOf(uint64(i) * 64),
 			Write:     i%3 == 0,
 			Dependent: i%5 == 0,
-			Gap:       uint8(i * 7),
+			Gap:       gap(i),
 		})
 	}
 	rec.Freeze()
 	var buf bytes.Buffer
-	if err := writeRecordingVersion(&buf, rec, version); err != nil {
+	if err := WriteRecording(&buf, rec); err != nil {
 		t.Fatalf("writing seed recording: %v", err)
 	}
 	return buf.Bytes()
 }
 
-// TestReadRecordingAcceptsBothVersions pins the compatibility contract: a
-// v1 file and a v2 file of the same recording load to identical columns
-// (the checksum covers all four), and the v2 gap column is never larger
-// than the raw v1 column it replaces.
-func TestReadRecordingAcceptsBothVersions(t *testing.T) {
-	v1 := seedRecordingBytes(t, recordingVersionV1)
-	v2 := seedRecordingBytes(t, recordingVersion)
-	rec1, err := ReadRecording(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("reading v1: %v", err)
-	}
-	rec2, err := ReadRecording(bytes.NewReader(v2))
-	if err != nil {
-		t.Fatalf("reading v2: %v", err)
-	}
-	if rec1.Len() != rec2.Len() || rec1.Instructions() != rec2.Instructions() ||
-		rec1.Checksum() != rec2.Checksum() {
-		t.Fatalf("v1/v2 mismatch: %d/%d/%x vs %d/%d/%x",
-			rec1.Len(), rec1.Instructions(), rec1.Checksum(),
-			rec2.Len(), rec2.Instructions(), rec2.Checksum())
-	}
-}
-
-// FuzzReadRecording checks the CHRC reader's contract on arbitrary bytes
-// across both format versions (v1 raw gaps, v2 varint-delta gaps): every
-// malformed input yields an error wrapping ErrBadTrace (never a panic,
-// never a bare error), and every accepted input round-trips through
+// FuzzReadRecording checks the CHRC reader's contract on arbitrary bytes:
+// every malformed input yields an error wrapping ErrBadTrace (never a
+// panic, never a bare error), and every accepted input round-trips through
 // WriteRecording to an equivalent recording. The experiments runner trusts
 // this: a stale or corrupted -tracedir file must fail loudly instead of
 // silently perturbing results (DESIGN.md §8).
 func FuzzReadRecording(f *testing.F) {
-	for _, version := range []uint8{recordingVersionV1, recordingVersion} {
-		valid := seedRecordingBytes(f, version)
+	// Two seed recordings with equal-length names, so the structural
+	// offsets below hold for both: one whose gap deltas each encode to a
+	// single varint byte, and one whose 0 <-> 255 swings need two.
+	for _, seed := range []struct {
+		name string
+		gap  func(i int) uint8
+	}{
+		{"fuzz-seed", func(i int) uint8 { return uint8(i * 7) }},
+		{"fuzz-wide", func(i int) uint8 { return uint8(255 * (i % 2)) }},
+	} {
+		valid := seedRecordingBytes(f, seed.name, seed.gap)
 		f.Add(valid)
 		// Truncations at every structural boundary: mid-magic, mid-header,
 		// mid-name, mid-counts, mid-columns.
@@ -79,8 +64,8 @@ func FuzzReadRecording(f *testing.F) {
 			mut[flip] ^= 0xff
 			f.Add(mut)
 		}
-		// Corruptions of the gap column tail: in v2 these hit the delta
-		// stream and its length prefix.
+		// Corruptions of the gap column tail: the delta stream and its
+		// length prefix.
 		for _, flip := range []int{len(valid) - 1, len(valid) - 5, len(valid) - 9} {
 			if flip >= 0 {
 				mut := append([]byte(nil), valid...)
@@ -90,7 +75,7 @@ func FuzzReadRecording(f *testing.F) {
 		}
 		// A forged header claiming 2^60 records with no data behind it:
 		// must fail as truncation, not attempt the allocation.
-		forged := append([]byte(nil), valid[:19]...)       // header + "fuzz-seed"
+		forged := append([]byte(nil), valid[:19]...)       // header + name
 		forged = append(forged, 0, 0, 0, 0, 0, 0, 0, 0x10) // count = 1<<60
 		forged = append(forged, 0, 0, 0, 0, 0, 0, 0, 0x10) // instrs = 1<<60
 		forged = append(forged, 0, 0, 0, 0, 0, 0, 0, 0)    // checksum

@@ -21,6 +21,12 @@ import (
 	"chrome/internal/mem"
 )
 
+// Bits of a recording's kinds column.
+const (
+	flagWrite     = 1 << 0
+	flagDependent = 1 << 1
+)
+
 // Recording is a frozen, immutable trace stream in struct-of-arrays layout:
 // one column per Record field group, so replay touches dense homogeneous
 // arrays instead of striding over padded structs.

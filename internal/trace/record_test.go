@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"chrome/internal/mem"
 )
@@ -174,6 +175,50 @@ func TestRecordingRoundTrip(t *testing.T) {
 	}
 	if !got.Frozen() {
 		t.Fatal("loaded recording must be frozen")
+	}
+}
+
+// TestRecordingRoundTripProperty round-trips arbitrary record columns
+// through the CHRC format: every PC, address, flag pair and gap in
+// [0, 255] (including the two-byte gap deltas) survives a write and read,
+// and so does a recording with no records.
+func TestRecordingRoundTripProperty(t *testing.T) {
+	f := func(pcs []uint64, flags []uint8) bool {
+		rec := &Recording{name: "prop"}
+		for i, pc := range pcs {
+			var fl uint8
+			if i < len(flags) {
+				fl = flags[i]
+			}
+			rec.add(Record{
+				PC:        mem.PCOf(pc),
+				Addr:      mem.Addr(pc * 3),
+				Write:     fl&1 != 0,
+				Dependent: fl&2 != 0,
+				Gap:       fl ^ uint8(pc),
+			})
+		}
+		rec.Freeze()
+		var buf bytes.Buffer
+		if err := WriteRecording(&buf, rec); err != nil {
+			return false
+		}
+		got, err := ReadRecording(&buf)
+		if err != nil || got.Len() != rec.Len() || got.Instructions() != rec.Instructions() {
+			return false
+		}
+		for i := 0; i < rec.Len(); i++ {
+			if got.At(i) != rec.At(i) {
+				return false
+			}
+		}
+		return true
+	}
+	if !f(nil, nil) {
+		t.Error("empty recording did not round-trip")
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -10,7 +11,8 @@ import (
 // On-disk recording format (DESIGN.md §8): a versioned header followed by
 // the four columns, so FullScale suite re-runs can skip generation
 // entirely (cmd/traces records, inspects and verifies these files;
-// cmd/experiments -tracedir persists and reuses them transparently).
+// cmd/experiments -tracedir persists and reuses them transparently;
+// cmd/chromesim -trace replays one on every core).
 //
 //	magic    "CHRC"                     4 bytes
 //	version  u8                         1 byte
@@ -23,41 +25,32 @@ import (
 //	pcs      count x u64 LE
 //	addrs    count x u64 LE
 //	kinds    count x u8
-//	gaps     (version 1) count x u8
-//	gaps     (version 2) gapLen u64 LE, then gapLen bytes of
-//	         zigzag-varint deltas between consecutive gap values
+//	gapLen   u64  LE
+//	gaps     gapLen bytes of zigzag-varint deltas between consecutive
+//	         gap values
 //
 // Everything after the header is raw column data, so a load is a handful of
 // bulk reads. The checksum (and a recomputed instrs) is validated on load:
 // a truncated, corrupted, or stale file yields ErrBadTrace, never a
 // silently different experiment input.
 //
-// Version 2 replaces the raw gap column with zigzag-varint-encoded deltas:
-// workload gaps cluster around a few values, so the delta stream compresses
-// under any downstream file compression far better than the raw column,
-// while a delta that walks outside [0, 255] or trailing bytes after the
-// final delta are rejected as corruption. Version 1 files remain readable;
-// WriteRecording always emits version 2.
+// The gap column is stored as zigzag-varint deltas: workload gaps cluster
+// around a few values, so the delta stream compresses under any downstream
+// file compression far better than the raw column, while a delta that
+// walks outside [0, 255] or trailing bytes after the final delta are
+// rejected as corruption.
 
 var recordingMagic = [4]byte{'C', 'H', 'R', 'C'}
 
-// Recording format versions: v1 stores the gap column raw, v2 stores it
-// varint-delta encoded. The writer emits recordingVersion; the reader
-// accepts both.
-const (
-	recordingVersionV1 = 1
-	recordingVersion   = 2
-)
+// recordingVersion is the one format version the writer emits and the
+// reader accepts.
+const recordingVersion = 2
 
-// WriteRecording serializes a frozen recording to w in the current format
-// version.
+// ErrBadTrace reports a malformed trace stream.
+var ErrBadTrace = errors.New("trace: malformed trace stream")
+
+// WriteRecording serializes a frozen recording to w.
 func WriteRecording(w io.Writer, rec *Recording) error {
-	return writeRecordingVersion(w, rec, recordingVersion)
-}
-
-// writeRecordingVersion serializes rec in the requested format version. The
-// v1 path exists so compatibility tests can produce v1 files.
-func writeRecordingVersion(w io.Writer, rec *Recording, version uint8) error {
 	if !rec.frozen {
 		panic("trace: WriteRecording of unfrozen recording " + rec.name)
 	}
@@ -67,7 +60,7 @@ func writeRecordingVersion(w io.Writer, rec *Recording, version uint8) error {
 	bw := bufio.NewWriter(w)
 	header := make([]byte, 10)
 	copy(header, recordingMagic[:])
-	header[4] = version
+	header[4] = recordingVersion
 	binary.LittleEndian.PutUint16(header[8:], uint16(len(rec.name)))
 	if _, err := bw.Write(header); err != nil {
 		return err
@@ -92,12 +85,6 @@ func writeRecordingVersion(w io.Writer, rec *Recording, version uint8) error {
 	}
 	if _, err := bw.Write(rec.kinds); err != nil {
 		return err
-	}
-	if version == recordingVersionV1 {
-		if _, err := bw.Write(rec.gaps); err != nil {
-			return err
-		}
-		return bw.Flush()
 	}
 	enc := encodeGapDeltas(rec.gaps)
 	binary.LittleEndian.PutUint64(u64[:], uint64(len(enc)))
@@ -162,9 +149,8 @@ func ReadRecording(r io.Reader) (*Recording, error) {
 	if [4]byte(header[:4]) != recordingMagic {
 		return nil, fmt.Errorf("%w: bad recording magic %q", ErrBadTrace, header[:4])
 	}
-	version := header[4]
-	if version != recordingVersionV1 && version != recordingVersion {
-		return nil, fmt.Errorf("%w: unsupported recording version %d", ErrBadTrace, version)
+	if header[4] != recordingVersion {
+		return nil, fmt.Errorf("%w: unsupported recording version %d", ErrBadTrace, header[4])
 	}
 	name := make([]byte, binary.LittleEndian.Uint16(header[8:]))
 	if _, err := io.ReadFull(br, name); err != nil {
@@ -204,27 +190,21 @@ func ReadRecording(r io.Reader) (*Recording, error) {
 	if rec.kinds, err = readU8Column(br, count, "kinds column"); err != nil {
 		return nil, err
 	}
-	if version == recordingVersionV1 {
-		if rec.gaps, err = readU8Column(br, count, "gaps column"); err != nil {
-			return nil, err
-		}
-	} else {
-		gapLen, err := readU64("gap column length")
-		if err != nil {
-			return nil, err
-		}
-		// Each delta encodes to one or two bytes, so anything outside
-		// [count, 2*count] is a forged length.
-		if gapLen < count || gapLen > 2*count {
-			return nil, fmt.Errorf("%w: gap column of %d bytes cannot encode %d deltas", ErrBadTrace, gapLen, count)
-		}
-		enc, err := readU8Column(br, gapLen, "gaps column")
-		if err != nil {
-			return nil, err
-		}
-		if rec.gaps, err = decodeGapDeltas(enc, count); err != nil {
-			return nil, err
-		}
+	gapLen, err := readU64("gap column length")
+	if err != nil {
+		return nil, err
+	}
+	// Each delta encodes to one or two bytes, so anything outside
+	// [count, 2*count] is a forged length.
+	if gapLen < count || gapLen > 2*count {
+		return nil, fmt.Errorf("%w: gap column of %d bytes cannot encode %d deltas", ErrBadTrace, gapLen, count)
+	}
+	enc, err := readU8Column(br, gapLen, "gaps column")
+	if err != nil {
+		return nil, err
+	}
+	if rec.gaps, err = decodeGapDeltas(enc, count); err != nil {
+		return nil, err
 	}
 	for _, g := range rec.gaps {
 		rec.instrs += uint64(g) + 1
