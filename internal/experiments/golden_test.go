@@ -63,8 +63,9 @@ func checkDigests(t *testing.T, name string, lines []string) {
 // SHA-256 digests of their reports. The set covers every scheme (extC),
 // both trackers (fig02, fig09), prefetcher variation (fig03), the 4-core
 // SPEC sweep (fig06-08), the heterogeneous mixes (fig10), the N-CHROME
-// agent at 4/8/16 cores (fig12), the learning-curve grid (extB) and the
-// storage accounting (tab03-04). It is an oracle on the reported numbers
+// agent at 4/8/16 cores (fig12), the state-feature ablation (fig15), the
+// Table I feature-selection study (extA), the learning-curve grid (extB)
+// and the storage accounting (tab03-04). It is an oracle on the reported numbers
 // that a change to both the simulator and its tests cannot pass.
 // Regenerate with `go test ./internal/experiments -run ReportDigests
 // -update` only when a change is meant to move the figures.
@@ -72,7 +73,7 @@ func TestReportDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed")
 	}
-	for _, id := range []string{"fig02", "fig03", "fig06-08", "fig09", "fig10", "fig12", "extB", "extC", "tab03-04"} {
+	for _, id := range []string{"fig02", "fig03", "fig06-08", "fig09", "fig10", "fig12", "fig15", "extA", "extB", "extC", "tab03-04"} {
 		t.Run(id, func(t *testing.T) {
 			r, err := RunnerByID(id)
 			if err != nil {
