@@ -207,8 +207,13 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		defer f.Close()
-		if err := agent.SaveCheckpoint(f); err != nil {
+		// Close explicitly: a failed write-back surfaces only at Close, so
+		// the Q-table is not reported saved until Close succeeds.
+		err = agent.SaveCheckpoint(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

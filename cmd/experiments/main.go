@@ -47,10 +47,6 @@ func main() {
 		traceDir = flag.String("tracedir", "", "persist recordings to this directory and reuse them across runs")
 		warmup   = flag.Uint64("warmup", 0, "override the scale's per-core warmup instruction budget (0 = scale default)")
 		measure  = flag.Uint64("measure", 0, "override the scale's per-core measured instruction budget (0 = scale default)")
-		sampling = flag.String("sampling", "none", "measurement strategy: none (exact full budget) | simpoint (weighted representative intervals)")
-		spInt    = flag.Uint64("spinterval", 0, "per-core instructions per profiled interval (0 = default; requires -sampling simpoint)")
-		spWarm   = flag.Uint64("spwarmup", 0, "truncated warmup instructions before each representative (0 = default; requires -sampling simpoint)")
-		spK      = flag.Int("spclusters", 0, "max representative intervals per cell (0 = default; requires -sampling simpoint)")
 	)
 	flag.Parse()
 	if *jobs < 1 {
@@ -112,14 +108,6 @@ func main() {
 		sc.Measure = mem.InstrOf(*measure)
 	}
 	sc.Parallelism = *jobs
-	sc.Sampling = *sampling
-	sc.SPInterval = mem.InstrOf(*spInt)
-	sc.SPWarmup = mem.InstrOf(*spWarm)
-	sc.SPClusters = *spK
-	if err := sc.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, "tracedir:", err)
@@ -168,8 +156,7 @@ func main() {
 
 	// Throughput numbers are only comparable with the environment pinned;
 	// report it up front so every sim_MIPS figure below is attributable.
-	fmt.Printf("env: %s, GOMAXPROCS=%d%s\n\n",
-		runtime.Version(), runtime.GOMAXPROCS(0), samplingNote(sc))
+	fmt.Printf("env: %s, GOMAXPROCS=%d\n\n", runtime.Version(), runtime.GOMAXPROCS(0))
 
 	start := time.Now()
 	var all []experiments.Report
@@ -201,16 +188,6 @@ func main() {
 		}
 		fmt.Println("wrote", *mdOut)
 	}
-}
-
-// samplingNote renders the active interval-sampling knobs, or nothing for
-// exact runs — so every recorded table is attributable to its strategy.
-func samplingNote(sc experiments.Scale) string {
-	if sc.Sampling != "simpoint" {
-		return ""
-	}
-	i, w, k := sc.EffectiveSampling()
-	return fmt.Sprintf(", sampling=simpoint(interval=%d, warmup=%d, clusters=%d)", i, w, k)
 }
 
 // genSplit formats the generation-vs-simulation wall-clock split of a

@@ -8,8 +8,6 @@
 //	traces record -dir traces -workloads mcf,gcc -scale full
 //	traces record -dir traces -budget 600000       # explicit per-core budget
 //	traces inspect [-n 5] traces/mcf-*.chrec
-//	traces inspect -interval 25000 traces/mcf-*.chrec  # per-interval phase stats
-//	traces profile -interval 25000 traces/mcf-*.chrec  # feature matrix as CSV
 //	traces verify traces/mcf-*.chrec               # checksum + re-record comparison
 //
 // record writes one .chrec file per workload, keyed by (profile, stream
@@ -26,7 +24,6 @@ import (
 
 	"chrome/internal/experiments"
 	"chrome/internal/mem"
-	"chrome/internal/simpoint"
 	"chrome/internal/trace"
 	"chrome/internal/workload"
 )
@@ -42,8 +39,6 @@ func main() {
 		err = record(os.Args[2:])
 	case "inspect":
 		err = inspect(os.Args[2:])
-	case "profile":
-		err = profileCmd(os.Args[2:])
 	case "verify":
 		err = verify(os.Args[2:])
 	default:
@@ -59,8 +54,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   traces record  -dir DIR [-workloads a,b,...] [-scale quick|full] [-budget N]
-  traces inspect [-n N] [-interval I] FILE...
-  traces profile [-interval I] [-llcsets S] FILE...
+  traces inspect [-n N] FILE...
   traces verify  FILE...`)
 }
 
@@ -133,8 +127,6 @@ func load(path string) (*trace.Recording, error) {
 func inspect(args []string) error {
 	fs := flag.NewFlagSet("inspect", flag.ExitOnError)
 	n := fs.Int("n", 0, "also print the first N records")
-	interval := fs.Uint64("interval", 0, "also print per-interval phase stats at this per-core instruction interval")
-	llcSets := fs.Int("llcsets", defaultLLCSets, "LLC set count the interval entropy feature folds over")
 	fs.Parse(args)
 	if fs.NArg() == 0 {
 		return fmt.Errorf("inspect: no files given")
@@ -158,72 +150,6 @@ func inspect(args []string) error {
 				dep = " dependent"
 			}
 			fmt.Printf("  [%d] pc %#x addr %#x %s gap %d%s\n", i, r.PC, r.Addr, kind, r.Gap, dep)
-		}
-		if *interval > 0 {
-			printIntervalStats(rec, mem.InstrOf(*interval), *llcSets)
-		}
-	}
-	return nil
-}
-
-// defaultLLCSets matches sim.ScaledConfig(1)'s LLC geometry, so CLI interval
-// features line up with what the sampled experiment runner profiles.
-const defaultLLCSets = 512
-
-// printIntervalStats summarizes the recording's interval feature matrix: a
-// count of whole intervals at the given size and a per-interval digest of
-// the most phase-discriminative features.
-func printIntervalStats(rec *trace.Recording, interval mem.Instr, llcSets int) {
-	prof := simpoint.ProfileReplayers([]*trace.Replayer{rec.Replayer(0)}, interval, llcSets)
-	fmt.Printf("  intervals: %d whole x %d instructions (feature dim %d)\n",
-		len(prof.Features), interval, simpoint.FeatureDim)
-	names := simpoint.FeatureNames()
-	entropy, distinct, writes := indexOf(names, "set_entropy"), indexOf(names, "distinct_ratio"), indexOf(names, "write_frac")
-	for t, v := range prof.Features {
-		fmt.Printf("  interval %3d: %6d records, set_entropy %.3f, distinct_ratio %.3f, write_frac %.3f\n",
-			t, prof.Records[t], v[entropy], v[distinct], v[writes])
-	}
-}
-
-func indexOf(xs []string, want string) int {
-	for i, x := range xs {
-		if x == want {
-			return i
-		}
-	}
-	panic("traces: unknown feature " + want)
-}
-
-// profileCmd dumps each recording's interval feature matrix as CSV (one row
-// per interval, simpoint.FeatureNames as the header) for offline
-// inspection and clustering experiments.
-func profileCmd(args []string) error {
-	fs := flag.NewFlagSet("profile", flag.ExitOnError)
-	interval := fs.Uint64("interval", 25_000, "per-core instructions per profiled interval")
-	llcSets := fs.Int("llcsets", defaultLLCSets, "LLC set count the entropy feature folds over")
-	fs.Parse(args)
-	if fs.NArg() == 0 {
-		return fmt.Errorf("profile: no files given")
-	}
-	if *interval == 0 {
-		return fmt.Errorf("profile: -interval must be positive")
-	}
-	for _, path := range fs.Args() {
-		rec, err := load(path)
-		if err != nil {
-			return err
-		}
-		prof := simpoint.ProfileReplayers([]*trace.Replayer{rec.Replayer(0)}, mem.InstrOf(*interval), *llcSets)
-		fmt.Printf("# %s: workload %q, %d intervals x %d instructions\n",
-			path, rec.Name(), len(prof.Features), *interval)
-		fmt.Println("interval,records," + strings.Join(simpoint.FeatureNames(), ","))
-		for t, v := range prof.Features {
-			row := make([]string, 0, simpoint.FeatureDim+2)
-			row = append(row, fmt.Sprint(t), fmt.Sprint(prof.Records[t]))
-			for _, x := range v {
-				row = append(row, fmt.Sprintf("%.6f", x))
-			}
-			fmt.Println(strings.Join(row, ","))
 		}
 	}
 	return nil

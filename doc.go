@@ -16,8 +16,7 @@
 //   - cmd/chromesim:    run one simulation configuration, over workload
 //     generators or a CHRC recording (-trace)
 //   - cmd/experiments:  reproduce the paper's tables and figures
-//   - cmd/traces:       record, inspect, profile and verify CHRC recordings
-//   - cmd/samplingab:   measure interval sampling against exact runs
+//   - cmd/traces:       record, inspect and verify CHRC recordings
 //   - cmd/objbench:     drive the CHROME-managed object cache
 //   - cmd/chromevet:    the repository's static-analysis suite
 //   - examples/...:     runnable scenarios using the public APIs

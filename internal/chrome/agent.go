@@ -21,11 +21,7 @@ type Agent struct {
 	eq      *EQ
 	sampler policy.Sampler
 	rng     *rand.Rand
-	// pcg is rng's source, retained so checkpointing can serialize the
-	// exploration stream's exact position (rand.Rand adds no buffering on
-	// top of its source).
-	pcg *rand.PCG
-	ext *extractor
+	ext     *extractor
 
 	// Obstructed reports whether a core is currently LLC-obstructed; wired
 	// to the camat.Monitor by the simulator. Nil (or ConcurrencyAware
@@ -79,15 +75,13 @@ func New(cfg Config, sets, ways int) *Agent {
 	// agents built from one shared Config (a Scheme closure reused across
 	// parallel experiment cells) never alias the caller's backing array.
 	cfg.StateFeatures = append([]FeatureKind(nil), cfg.StateFeatures...)
-	pcg := rand.NewPCG(cfg.Seed, mem.Mix64(cfg.Seed^0xC0FFEE))
 	a := &Agent{
 		cfg:     cfg,
 		qt:      NewQTable(cfg),
 		eq:      nil,
 		sampler: policy.NewSampler(sets, cfg.SampledSets),
-		rng:     rand.New(pcg),
-		pcg:     pcg,
-		ext:     newExtractor(cfg.featureKinds(), maxCores),
+		rng:     rand.New(rand.NewPCG(cfg.Seed, mem.Mix64(cfg.Seed^0xC0FFEE))),
+		ext:     newExtractor(cfg.StateFeatures, maxCores),
 		epv:     make([][]uint8, sets),
 	}
 	a.eq = NewEQ(a.sampler.Count(), cfg.EQDepth)

@@ -8,32 +8,6 @@
 // (C-AMAT LLC-obstruction status).
 package chrome
 
-// FeatureSet selects which program features form the RL state vector
-// (paper §VII-G, Fig. 15 ablation).
-type FeatureSet uint8
-
-const (
-	// FeaturesPCPN uses both the PC signature and the page number (default).
-	FeaturesPCPN FeatureSet = iota
-	// FeaturesPCOnly uses only the PC signature.
-	FeaturesPCOnly
-	// FeaturesPNOnly uses only the page number.
-	FeaturesPNOnly
-)
-
-// String names the feature set.
-func (f FeatureSet) String() string {
-	switch f {
-	case FeaturesPCPN:
-		return "PC+PN"
-	case FeaturesPCOnly:
-		return "PC"
-	case FeaturesPNOnly:
-		return "PN"
-	}
-	return "?"
-}
-
 // QCompose selects how per-feature Q-values combine into the state-action
 // Q-value. The paper specifies max; sum is provided for the ablation bench.
 type QCompose uint8
@@ -94,12 +68,9 @@ type Config struct {
 	EQDepth int
 	// SampledSets is the number of LLC sets observed for training (64).
 	SampledSets int
-	// Features selects the state vector composition (the paper's default
-	// and Fig. 15 ablations).
-	Features FeatureSet
-	// StateFeatures, when non-empty, overrides Features with an explicit
-	// Table I feature selection (up to MaxStateFeatures entries). Used by
-	// the extended feature-selection study.
+	// StateFeatures selects the Table I features that form the state
+	// vector, 1..MaxStateFeatures entries (the paper's PC+PN default, the
+	// Fig. 15 ablation and the extended feature-selection study).
 	StateFeatures []FeatureKind
 	// Compose selects the per-feature Q combination rule.
 	Compose QCompose
@@ -121,7 +92,7 @@ func DefaultConfig() Config {
 		SubTableBits:     11,
 		EQDepth:          28,
 		SampledSets:      64,
-		Features:         FeaturesPCPN,
+		StateFeatures:    []FeatureKind{FeatPCSignature, FeatPageNumber},
 		Compose:          ComposeMax,
 		ConcurrencyAware: true,
 		Seed:             1,
@@ -135,21 +106,6 @@ func NCHROMEConfig() Config {
 	cfg := DefaultConfig()
 	cfg.ConcurrencyAware = false
 	return cfg
-}
-
-// featureKinds resolves the configured state-vector feature selection.
-func (c Config) featureKinds() []FeatureKind {
-	if len(c.StateFeatures) > 0 {
-		return c.StateFeatures
-	}
-	switch c.Features {
-	case FeaturesPCOnly:
-		return []FeatureKind{FeatPCSignature}
-	case FeaturesPNOnly:
-		return []FeatureKind{FeatPageNumber}
-	default:
-		return []FeatureKind{FeatPCSignature, FeatPageNumber}
-	}
 }
 
 // validate panics on nonsensical configuration values.
@@ -169,6 +125,8 @@ func (c Config) validate() {
 		panic("chrome: EQDepth must exceed 1")
 	case c.SampledSets <= 0:
 		panic("chrome: SampledSets must be positive")
+	case len(c.StateFeatures) == 0:
+		panic("chrome: StateFeatures must select at least one feature")
 	case len(c.StateFeatures) > MaxStateFeatures:
 		panic("chrome: too many state features")
 	}

@@ -33,22 +33,20 @@ func TestTableIIIStructure(t *testing.T) {
 	}
 }
 
-func TestFeatureSetStrings(t *testing.T) {
-	if FeaturesPCPN.String() != "PC+PN" || FeaturesPCOnly.String() != "PC" || FeaturesPNOnly.String() != "PN" {
-		t.Fatal("FeatureSet names wrong")
-	}
-	if FeatureSet(9).String() != "?" {
-		t.Fatal("unknown FeatureSet should stringify as ?")
-	}
-}
-
 func TestFeatureKindsResolution(t *testing.T) {
 	cfg := DefaultConfig()
-	if got := cfg.featureKinds(); len(got) != 2 || got[0] != FeatPCSignature || got[1] != FeatPageNumber {
+	if got := cfg.StateFeatures; len(got) != 2 || got[0] != FeatPCSignature || got[1] != FeatPageNumber {
 		t.Fatalf("default features = %v, want [PC, PN]", got)
 	}
 	cfg.StateFeatures = []FeatureKind{FeatDelta}
-	if got := cfg.featureKinds(); len(got) != 1 || got[0] != FeatDelta {
-		t.Fatalf("explicit features not honored: %v", got)
+	if got := NewQTable(cfg).n; got != 1 {
+		t.Fatalf("explicit features not honored: Q-table dimensionality %d, want 1", got)
 	}
+	cfg.StateFeatures = nil
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an empty feature selection should be rejected")
+		}
+	}()
+	cfg.validate()
 }

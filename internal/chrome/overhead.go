@@ -21,7 +21,7 @@ const EQEntryBits = 58
 
 // ComputeOverhead evaluates Table III for a configuration and LLC capacity.
 func ComputeOverhead(cfg Config, llcBytes uint64) Overhead {
-	features := len(cfg.featureKinds())
+	features := len(cfg.StateFeatures)
 	blocks := llcBytes / 64
 	return Overhead{
 		QTableBits:   uint64(features) * uint64(cfg.SubTables) * (1 << cfg.SubTableBits) * 16,

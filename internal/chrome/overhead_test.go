@@ -44,7 +44,7 @@ func TestOverheadTableIV(t *testing.T) {
 func TestOverheadScalesWithFeatures(t *testing.T) {
 	full := ComputeOverhead(DefaultConfig(), 12<<20)
 	cfg := DefaultConfig()
-	cfg.Features = FeaturesPCOnly
+	cfg.StateFeatures = []FeatureKind{FeatPCSignature}
 	half := ComputeOverhead(cfg, 12<<20)
 	if half.QTableBits*2 != full.QTableBits {
 		t.Fatalf("single-feature Q-table should be half: %d vs %d", half.QTableBits, full.QTableBits)

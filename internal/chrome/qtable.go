@@ -107,11 +107,10 @@ type QTable struct {
 // (paper §V-B).
 func NewQTable(cfg Config) *QTable {
 	cfg.validate()
-	kinds := cfg.featureKinds()
 	qt := &QTable{
 		cfg:       cfg,
 		mask:      (1 << cfg.SubTableBits) - 1,
-		n:         len(kinds),
+		n:         len(cfg.StateFeatures),
 		subTables: cfg.SubTables,
 		compose:   cfg.Compose,
 	}

@@ -97,9 +97,9 @@ func TestComposeMaxVsSum(t *testing.T) {
 func TestSingleFeatureConfigs(t *testing.T) {
 	// A single-feature configuration produces 1-dimensional states: two
 	// states sharing that value share Q; different values do not.
-	for _, fs := range []FeatureSet{FeaturesPCOnly, FeaturesPNOnly} {
+	for _, fs := range [][]FeatureKind{{FeatPCSignature}, {FeatPageNumber}} {
 		cfg := DefaultConfig()
-		cfg.Features = fs
+		cfg.StateFeatures = fs
 		cfg.Alpha = 0.5
 		qt := NewQTable(cfg)
 		a := NewState(100)

@@ -38,48 +38,6 @@ type Scale struct {
 	// merged deterministically, so the output is byte-identical at any
 	// setting.
 	Parallelism int
-	// Sampling selects the measurement strategy: "" or "none" simulates the
-	// full warmup+measure budget exactly (byte-identical to before the knob
-	// existed); "simpoint" profiles the recordings in fixed-instruction
-	// intervals, clusters the measurement window, and simulates only
-	// weighted representative intervals (DESIGN.md §10).
-	Sampling string
-	// SPInterval is the per-core instruction length of each profiled
-	// interval (0 = DefaultSPInterval). Simpoint sampling only.
-	SPInterval mem.Instr
-	// SPWarmup is the truncated warmup replayed immediately before each
-	// representative interval (0 = DefaultSPWarmup). Simpoint sampling only.
-	SPWarmup mem.Instr
-	// SPClusters caps how many representatives k-means selects per cell
-	// (0 = DefaultSPClusters). Simpoint sampling only.
-	SPClusters int
-}
-
-// Validate checks the sampling selection as a whole: the mode selector and
-// its knobs, including their cross-constraints. CLI front ends call it
-// once after flag parsing so a bad value dies with a friendly message
-// instead of panicking deep in a runner.
-func (sc Scale) Validate() error {
-	switch sc.Sampling {
-	case "", "none":
-		if sc.SPInterval != 0 || sc.SPWarmup != 0 || sc.SPClusters != 0 {
-			return fmt.Errorf("interval sampling knobs (-spinterval/-spwarmup/-spclusters) require -sampling simpoint (have %q)", sc.Sampling)
-		}
-	case "simpoint":
-		if sc.SPClusters < 0 {
-			return fmt.Errorf("cluster count %d is negative (valid: 0 = default %d, or a positive representative count)", sc.SPClusters, DefaultSPClusters)
-		}
-		interval, warmup, _ := sc.samplingParams()
-		if interval > sc.Measure {
-			return fmt.Errorf("sampling interval %d exceeds the measure budget %d (a representative interval must fit the measurement window)", interval, sc.Measure)
-		}
-		if warmup > sc.Warmup {
-			return fmt.Errorf("sampling warmup %d exceeds the full warmup budget %d (the truncated warmup must be a subset of the exact run's)", warmup, sc.Warmup)
-		}
-	default:
-		return fmt.Errorf("unknown sampling mode %q (valid modes: none, simpoint)", sc.Sampling)
-	}
-	return nil
 }
 
 // budget is the per-core instruction window a recording must cover for a
@@ -335,9 +293,6 @@ func RunMixPublic(gens []trace.Generator, cores int, scheme Scheme, pf PrefetchC
 
 // runMix simulates one mix under one scheme and returns the result.
 func runMix(gens []trace.Generator, cores int, scheme Scheme, pf PrefetchConfig, sc Scale) sim.Result {
-	if sc.Sampling == "simpoint" {
-		return runMixSampled(gens, cores, scheme, pf, sc)
-	}
 	res := sc.newMixSystem(gens, cores, scheme, pf).Run(sc.Warmup, sc.Measure)
 	res.PolicyName = scheme.Name
 	countInstructions(res)

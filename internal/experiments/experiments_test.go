@@ -42,24 +42,6 @@ func TestRunnersRegistry(t *testing.T) {
 	}
 }
 
-// TestScaleValidate covers the friendly-error path CLI flag validation
-// reports through: the preset scales pass, and a bad selector names the
-// valid modes instead of panicking deep in a runner.
-func TestScaleValidate(t *testing.T) {
-	for _, sc := range []Scale{{}, QuickScale(), FullScale(), tinyScale()} {
-		if err := sc.Validate(); err != nil {
-			t.Errorf("Validate(%+v) = %v, want nil", sc, err)
-		}
-	}
-	err := Scale{Sampling: "bogus"}.Validate()
-	if err == nil || !strings.Contains(err.Error(), "none, simpoint") {
-		t.Fatalf("Validate error should list valid modes, got %v", err)
-	}
-	if strings.Contains(err.Error(), "panic") {
-		t.Errorf("error leaks panic text: %v", err)
-	}
-}
-
 func TestOverheadRunnerMatchesPaper(t *testing.T) {
 	reports := TablesIIIandIV(tinyScale())
 	if len(reports) != 2 {

@@ -43,14 +43,19 @@ func Fig14(sc Scale) []Report {
 // only, PC+PN) on 4-core SPEC mixes.
 func Fig15(sc Scale) []Report {
 	profiles := representativeProfiles(pick(sc.Profiles, 10))
-	mk := func(f chrome.FeatureSet) Scheme {
+	mk := func(name string, kinds ...chrome.FeatureKind) Scheme {
 		cfg := ChromeConfig()
-		cfg.Features = f
+		cfg.StateFeatures = kinds
 		s := CHROMEScheme(cfg)
-		s.Name = "CHROME-" + f.String()
+		s.Name = "CHROME-" + name
 		return s
 	}
-	schemes := []Scheme{LRUScheme(), mk(chrome.FeaturesPCOnly), mk(chrome.FeaturesPNOnly), mk(chrome.FeaturesPCPN)}
+	schemes := []Scheme{
+		LRUScheme(),
+		mk("PC", chrome.FeatPCSignature),
+		mk("PN", chrome.FeatPageNumber),
+		mk("PC+PN", chrome.FeatPCSignature, chrome.FeatPageNumber),
+	}
 	results := homoSweep(profiles, 4, schemes, PFDefault(), sc)
 	gm := geomeanSpeedups(results, schemes)
 	tab := metrics.NewTable("features", "speedup", "paper")

@@ -59,7 +59,7 @@ func newPolicy(cfg Config, shard int) Policy {
 		// The page-number feature is per-key noise under the key-hash
 		// address mapping (every object is its own page); the PC signature
 		// (size class × hit/miss) is the signal that generalizes.
-		ccfg.Features = chrome.FeaturesPCOnly
+		ccfg.StateFeatures = []chrome.FeatureKind{chrome.FeatPCSignature}
 		if cfg.Chrome != nil {
 			ccfg = *cfg.Chrome
 		}

@@ -382,36 +382,17 @@ func (s *System) issuePrefetches(core mem.CoreID, trigger mem.Access, cands []me
 
 // Run executes warmup then measurement, interleaving cores by their issue
 // frontiers, and returns the collected results. Each core executes exactly
-// warmup+measure retired instructions. It is exactly RunPhaseTo(warmup);
-// BeginMeasurement(); RunPhaseTo(warmup+measure); Collect() — the split
-// form lets checkpointing callers stop at arbitrary instruction boundaries
-// (SaveCheckpoint) and resume without perturbing results.
+// warmup+measure retired instructions.
 func (s *System) Run(warmup, measure mem.Instr) Result {
-	s.RunPhaseTo(warmup)
-	s.BeginMeasurement()
-	s.RunPhaseTo(warmup + measure)
-	return s.Collect()
-}
-
-// RunPhaseTo advances every core to at least target lifetime retired
-// instructions. Targets at or below the current position are a no-op, so
-// callers may chain boundaries incrementally.
-func (s *System) RunPhaseTo(target mem.Instr) { s.runPhase(target) }
-
-// BeginMeasurement resets the hierarchy statistics and opens each core's
-// measurement window (the end-of-warmup transition inside Run).
-func (s *System) BeginMeasurement() {
+	s.runPhase(warmup)
+	// Reset statistics for the measurement window.
 	s.llc.ResetStats()
 	for i := range s.cores {
 		s.l1[i].ResetStats()
 		s.l2[i].ResetStats()
 		s.cores[i].BeginWindow()
 	}
-}
-
-// Collect snapshots the run's results and performs the end-of-run sanity
-// checks (simcheck builds).
-func (s *System) Collect() Result {
+	s.runPhase(warmup + measure)
 	res := s.collect()
 	s.checkEndOfRun()
 	return res

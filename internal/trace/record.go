@@ -220,48 +220,3 @@ func (p *Replayer) Reset() { p.i = 0 }
 
 // Name returns the recorded generator's name.
 func (p *Replayer) Name() string { return p.name }
-
-// Len returns the number of records in the underlying recording.
-func (p *Replayer) Len() int { return len(p.pcs) }
-
-// Pos returns the index of the next record Next will serve.
-func (p *Replayer) Pos() int { return p.i }
-
-// Seek positions the replayer so the next Next serves record i. Seeking to
-// Len() is legal (the exhausted position); anything outside [0, Len()]
-// panics, matching the replayer's no-silent-divergence discipline.
-func (p *Replayer) Seek(i int) {
-	if i < 0 || i > len(p.pcs) {
-		panic(fmt.Sprintf("trace: seek of %q to record %d outside [0, %d]", p.name, i, len(p.pcs)))
-	}
-	p.i = i
-}
-
-// SeekToInstruction positions the replayer at the first record whose
-// retirement would push the stream's cumulative instruction count (Σ Gap+1)
-// past target — i.e. the record the core model executes when its retired
-// count equals target under cpu.Core's one-record-per-step discipline. It
-// returns the cumulative instruction count before that record, which is
-// <= target. Seeking past the recording's total stops at the end.
-func (p *Replayer) SeekToInstruction(target mem.Instr) mem.Instr {
-	var done uint64
-	i := 0
-	for i < len(p.gaps) {
-		step := uint64(p.gaps[i]) + 1
-		if done+step > target.Uint64() {
-			break
-		}
-		done += step
-		i++
-	}
-	p.i = i
-	return mem.InstrOf(done)
-}
-
-// Clone returns an independent replayer over the same frozen recording,
-// with the same rebase offset, positioned at record 0.
-func (p *Replayer) Clone() *Replayer {
-	c := *p
-	c.i = 0
-	return &c
-}
