@@ -11,26 +11,14 @@ import (
 	"chrome/internal/mem"
 )
 
-// Block is the per-line metadata of one cache way.
+// Block is the per-line metadata of one cache way. Its fields are ordered
+// by size and hold no pointers, so a Block is 32 bytes and a 12-way set
+// spans six host cache lines (DESIGN.md §7, TestBlockSize).
 type Block struct {
-	// Valid marks the way as holding data.
-	Valid bool
 	// Tag is the block number (full address >> BlockShift).
 	Tag mem.BlockAddr
-	// Dirty marks the line as modified.
-	Dirty bool
-	// Prefetched marks a line whose fill was prefetch-initiated.
-	Prefetched bool
-	// Used marks a line that has been demand-hit since fill.
-	Used bool
 	// LastTouch is the cycle of the most recent access (LRU recency).
 	LastTouch mem.Cycle
-	// FillCycle is the cycle at which the line was filled.
-	FillCycle mem.Cycle
-	// FillPC is the PC of the fill-triggering instruction.
-	FillPC mem.PC
-	// FillCore is the index of the core that caused the fill.
-	FillCore mem.CoreID
 	// ReadyAt is the absolute cycle at which the line's data arrives from
 	// below. A hit before ReadyAt merges with the in-flight fill and pays
 	// the residual latency (the simulator enforces this; the cache only
@@ -40,6 +28,14 @@ type Block struct {
 	// prefetch-usefulness is only credited to lines filled in the current
 	// epoch so EPHR stays consistent across the warmup boundary.
 	FillEpoch uint32
+	// Valid marks the way as holding data.
+	Valid bool
+	// Dirty marks the line as modified.
+	Dirty bool
+	// Prefetched marks a line whose fill was prefetch-initiated.
+	Prefetched bool
+	// Used marks a line that has been demand-hit since fill.
+	Used bool
 }
 
 // Policy decides victim selection, bypassing, and metadata updates for a
@@ -377,9 +373,6 @@ func (c *Cache) onMiss(setIdx mem.SetIdx, set []Block, acc mem.Access) Result {
 		Dirty:      acc.Type == mem.Store,
 		Prefetched: acc.Type == mem.Prefetch,
 		LastTouch:  acc.Cycle,
-		FillCycle:  acc.Cycle,
-		FillPC:     acc.PC,
-		FillCore:   acc.Core,
 		FillEpoch:  c.epoch,
 	}
 	c.stats.Fills++

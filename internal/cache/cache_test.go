@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"chrome/internal/mem"
 )
@@ -340,5 +341,13 @@ func TestStatsHelpers(t *testing.T) {
 	var zero Stats
 	if zero.DemandMissRatio() != 0 || zero.EPHR() != 0 {
 		t.Fatal("zero stats should produce zero ratios")
+	}
+}
+
+// TestBlockSize gates the line layout every set scan reads: a 12-way set
+// of 32-byte blocks spans six host cache lines (DESIGN.md §7).
+func TestBlockSize(t *testing.T) {
+	if got := unsafe.Sizeof(Block{}); got != 32 {
+		t.Fatalf("cache.Block is %d bytes, want 32: keep its fields ordered by size (8-byte fields, then FillEpoch, then the bools), and justify in DESIGN.md §7 any field that grows the line", got)
 	}
 }

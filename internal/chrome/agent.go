@@ -282,32 +282,23 @@ func (a *Agent) Victim(set mem.SetIdx, blocks []cache.Block, acc mem.Access) (in
 	}
 	a.pendingEPV = act.EPV() & 3
 	a.pendingValid = true
-	if w := a.invalidWay(blocks); w >= 0 {
-		return w, false
-	}
 	return a.victimByEPV(set, blocks), false
 }
 
-//chromevet:hot
-func (a *Agent) invalidWay(blocks []cache.Block) int {
-	for w := range blocks {
-		if !blocks[w].Valid {
-			return w
-		}
-	}
-	return -1
-}
-
-// victimByEPV selects the line with the highest eviction priority value;
-// ties break toward the least recently touched line. (No aging: evicting
-// the max-EPV line directly preserves the learned priorities of the
-// remaining lines; see DESIGN.md §4.2 and BenchmarkAblationVictim.)
+// victimByEPV returns the first invalid way or, when the set is full, the
+// line with the highest eviction priority value; ties break toward the
+// least recently touched line. (No aging: evicting the max-EPV line
+// directly preserves the learned priorities of the remaining lines; see
+// DESIGN.md §4, item 2.)
 //
 //chromevet:hot
 func (a *Agent) victimByEPV(set mem.SetIdx, blocks []cache.Block) int {
 	epv := a.epv[set]
 	best, bestEPV, bestTouch := 0, int(-1), ^mem.Cycle(0)
 	for w := range epv {
+		if !blocks[w].Valid {
+			return w
+		}
 		e := int(epv[w])
 		if e > bestEPV || (e == bestEPV && blocks[w].LastTouch < bestTouch) {
 			best, bestEPV, bestTouch = w, e, blocks[w].LastTouch

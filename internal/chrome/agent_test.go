@@ -209,6 +209,12 @@ func TestVictimPrefersHighestEPV(t *testing.T) {
 	if w := a.victimByEPV(0, blocks); w != 2 {
 		t.Fatalf("victim = %d, want way 2 (LRU among ties)", w)
 	}
+	// An invalid way wins over any EPV, the first one in way order.
+	a.epv[0] = []uint8{2, 0, 0}
+	blocks[1].Valid, blocks[2].Valid = false, false
+	if w := a.victimByEPV(0, blocks); w != 1 {
+		t.Fatalf("victim = %d, want way 1 (first invalid way)", w)
+	}
 }
 
 func TestUPKSA(t *testing.T) {

@@ -20,10 +20,14 @@ func invalidWay(blocks []cache.Block) int {
 	return -1
 }
 
-// lruWay returns the way with the oldest LastTouch among valid ways.
+// lruWay returns the first invalid way or, when the set is full, the way
+// with the oldest LastTouch, in one pass over the set.
 func lruWay(blocks []cache.Block) int {
 	best, bestTouch := 0, ^mem.Cycle(0)
 	for w := range blocks {
+		if !blocks[w].Valid {
+			return w
+		}
 		if blocks[w].LastTouch < bestTouch {
 			best, bestTouch = w, blocks[w].LastTouch
 		}
@@ -124,9 +128,6 @@ func (*LRU) Name() string { return "LRU" }
 
 // Victim implements cache.Policy.
 func (*LRU) Victim(_ mem.SetIdx, blocks []cache.Block, _ mem.Access) (int, bool) {
-	if w := invalidWay(blocks); w >= 0 {
-		return w, false
-	}
 	return lruWay(blocks), false
 }
 

@@ -123,6 +123,26 @@ func TestPoliciesSurviveMixedTraffic(t *testing.T) {
 	}
 }
 
+// TestLRUVictimPrefersFirstInvalid: one pass over the set returns the
+// first invalid way even when a valid way is older, and the oldest way
+// once the set is full.
+func TestLRUVictimPrefersFirstInvalid(t *testing.T) {
+	blocks := []cache.Block{
+		{Valid: true, LastTouch: 0},
+		{Valid: true, LastTouch: 9},
+		{},
+		{},
+	}
+	if w, bypass := NewLRU().Victim(0, blocks, mem.Access{}); w != 2 || bypass {
+		t.Fatalf("victim = %d (bypass %v), want way 2 (first invalid way)", w, bypass)
+	}
+	blocks[2] = cache.Block{Valid: true, LastTouch: 5}
+	blocks[3] = cache.Block{Valid: true, LastTouch: 7}
+	if w, _ := NewLRU().Victim(0, blocks, mem.Access{}); w != 0 {
+		t.Fatalf("victim = %d, want way 0 (oldest LastTouch)", w)
+	}
+}
+
 func TestSRRIPPromotionAndAging(t *testing.T) {
 	p := NewSRRIP(1, 2)
 	c := cache.New(cache.Config{Name: "T", Sets: 1, Ways: 2}, p)
