@@ -59,31 +59,38 @@ func checkDigests(t *testing.T, name string, lines []string) {
 	}
 }
 
-// TestReportDigests pins a set of runners at the tiny scale to committed
-// SHA-256 digests of their reports. The set covers every scheme (extC),
-// both trackers (fig02, fig09), prefetcher variation (fig03), the 4-core
-// SPEC sweep (fig06-08), the heterogeneous mixes (fig10), the N-CHROME
-// agent at 4/8/16 cores (fig12), the state-feature ablation (fig15), the
-// Table I feature-selection study (extA), the learning-curve grid (extB)
-// and the storage accounting (tab03-04). It is an oracle on the reported numbers
-// that a change to both the simulator and its tests cannot pass.
-// Regenerate with `go test ./internal/experiments -run ReportDigests
+// tinyRuns memoizes each runner's tiny-scale reports for the test binary,
+// so TestAllRunnersSmoke and TestReportDigests check one run per runner.
+var tinyRuns = map[string][]Report{}
+
+func tinyReports(r Runner) []Report {
+	reps, ok := tinyRuns[r.ID]
+	if !ok {
+		reps = r.Run(tinyScale())
+		tinyRuns[r.ID] = reps
+	}
+	return reps
+}
+
+// TestReportDigests pins every runner's tiny-scale reports to committed
+// SHA-256 digests in testdata/<id>.sha256. Between them the runners cover
+// every scheme, both trackers, prefetcher variation, the 4/8/16/32/64-core
+// sweeps, the heterogeneous mixes, the GAP workloads, the ablations and
+// sensitivity sweeps, and the storage accounting. It is an oracle on the
+// reported numbers that a change to both the simulator and its tests cannot
+// pass. Regenerate with `go test ./internal/experiments -run ReportDigests
 // -update` only when a change is meant to move the figures.
 func TestReportDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed")
 	}
-	for _, id := range []string{"fig02", "fig03", "fig06-08", "fig09", "fig10", "fig12", "fig15", "extA", "extB", "extC", "tab03-04"} {
-		t.Run(id, func(t *testing.T) {
-			r, err := RunnerByID(id)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, r := range Runners() {
+		t.Run(r.ID, func(t *testing.T) {
 			var lines []string
-			for _, rep := range r.Run(tinyScale()) {
+			for _, rep := range tinyReports(r) {
 				lines = append(lines, rep.ID+" "+reportDigest(rep))
 			}
-			checkDigests(t, id, lines)
+			checkDigests(t, r.ID, lines)
 		})
 	}
 }

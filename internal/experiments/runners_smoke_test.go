@@ -13,11 +13,9 @@ func TestAllRunnersSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed suite")
 	}
-	sc := tinyScale()
 	for _, r := range Runners() {
-		r := r
 		t.Run(r.ID, func(t *testing.T) {
-			reports := r.Run(sc)
+			reports := tinyReports(r)
 			if len(reports) == 0 {
 				t.Fatal("runner produced no reports")
 			}
