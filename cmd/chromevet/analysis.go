@@ -96,12 +96,8 @@ func Analyzers() []*Analyzer {
 		analyzerGlobalMut(),
 		analyzerConcPrim(),
 		analyzerHotAlloc(),
-		analyzerFrozenShare(),
 		analyzerUnits(),
 		analyzerHwWidth(),
-		analyzerJoinSync(),
-		analyzerGuardedBy(),
-		analyzerLockOrder(),
 		analyzerHotBlock(),
 	}
 }

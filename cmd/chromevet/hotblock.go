@@ -1,13 +1,15 @@
 package main
 
-// The hotblock analyzer (DESIGN.md §11.4): functions annotated
+// The hotblock analyzer (DESIGN.md §11): functions annotated
 // `//chromevet:hot` must never block. The hotalloc analyzer already keeps
 // allocation out of the per-access path; hotblock completes the family by
 // keeping synchronization and I/O out: no mutex operations, no channel
 // send/receive/select, no time.Sleep-style waits, no I/O calls. A hot
 // function that blocks stalls every access behind it — the per-access
 // budget is tens of nanoseconds, and even an uncontended mutex is a
-// meaningful fraction of that.
+// meaningful fraction of that. No test catches it: a lock taken and
+// released on one goroutine is no data race, allocates nothing, and
+// changes no output.
 
 import (
 	"fmt"

@@ -28,18 +28,10 @@
 //     //chromevet:hot — the certified zero-allocation per-access path
 //     whose steady-state heap traffic TestAllocBudget pins to zero
 //     (hotalloc, DESIGN.md §7);
-//   - goroutine lifecycle: every goroutine spawned in an internal package
-//     signals completion and that signal is awaited in the package
-//     (joinsync);
-//   - lock-discipline certification (DESIGN.md §11): fields annotated
-//     "//chromevet:guardedby mu" are only read or written while the named
-//     sibling mutex is provably held, tracked through Lock/Unlock/defer
-//     flow and interprocedural //chromevet:locked caller-holds summaries
-//     (guardedby); every sync.Mutex/RWMutex field declares
-//     "//chromevet:lockrank N" and nested acquisition strictly increases
-//     in rank, so the lock tree is deadlock-free by construction
-//     (lockorder); and //chromevet:hot functions never block — no sync
-//     primitives, channel operations, timer waits, or I/O (hotblock).
+//   - blocking: //chromevet:hot functions never block — no sync
+//     primitives, channel operations, timer waits, or I/O (hotblock,
+//     DESIGN.md §11). Lock discipline and goroutine joins outside the hot
+//     path are left to tests under the race detector.
 //
 // Findings can be suppressed line-by-line with a justification comment:
 //

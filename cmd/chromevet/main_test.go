@@ -83,13 +83,9 @@ func fixtureLoader(t *testing.T) *Loader {
 	l.Override("chrome/internal/policy/parfixture", filepath.Join(base, "aliasshare"))
 	l.Override("chrome/internal/cache/parfixture", filepath.Join(base, "concprim"))
 	l.Override("chrome/internal/vetfixture/hotalloc", filepath.Join(base, "hotalloc"))
-	l.Override("chrome/internal/vetfixture/frozenshare", filepath.Join(base, "frozenshare"))
 	l.Override("chrome/internal/vetfixture/units", filepath.Join(base, "units"))
 	l.Override("chrome/internal/vetfixture/hwwidth", filepath.Join(base, "hwwidth"))
 	l.Override("chrome/internal/vetfixture/allowedge", filepath.Join(base, "allowedge"))
-	l.Override("chrome/internal/vetfixture/joinsync", filepath.Join(base, "joinsync"))
-	l.Override("chrome/internal/vetfixture/guardedby", filepath.Join(base, "guardedby"))
-	l.Override("chrome/internal/vetfixture/lockorder", filepath.Join(base, "lockorder"))
 	l.Override("chrome/internal/vetfixture/hotblock", filepath.Join(base, "hotblock"))
 	return l
 }
@@ -115,24 +111,17 @@ func TestFixtures(t *testing.T) {
 		{name: "policyreg", paths: []string{"chrome/internal/policy"}, dirs: []string{filepath.Join("policyreg", "policy")}},
 		{name: "globalmut", paths: []string{"chrome/internal/vetfixture/globalmut"}, dirs: []string{"globalmut"}},
 		{name: "aliasshare", paths: []string{"chrome/internal/policy/parfixture"}, dirs: []string{"aliasshare"}},
-		// The guarded struct's bare mutex also trips lockorder's
-		// annotation audit, deliberately: certified packages rank every
-		// mutex, even ones that shouldn't exist in the first place.
-		{name: "concprim", paths: []string{"chrome/internal/cache/parfixture"}, dirs: []string{"concprim"},
-			analyzers: []string{"concprim", "lockorder"}},
+		{name: "concprim", paths: []string{"chrome/internal/cache/parfixture"}, dirs: []string{"concprim"}},
 		{name: "hotalloc", paths: []string{"chrome/internal/vetfixture/hotalloc"}, dirs: []string{"hotalloc"}},
-		{name: "frozenshare", paths: []string{"chrome/internal/vetfixture/frozenshare"}, dirs: []string{"frozenshare"}},
 		{name: "units", paths: []string{"chrome/internal/vetfixture/units"}, dirs: []string{"units"}},
 		{name: "hwwidth", paths: []string{"chrome/internal/vetfixture/hwwidth"}, dirs: []string{"hwwidth"}},
-		{name: "joinsync", paths: []string{"chrome/internal/vetfixture/joinsync"}, dirs: []string{"joinsync"}},
 		// The suppression audit: misplaced and typo'd allows are findings of
 		// the pseudo-analyzer "allow"; the hazards they fail to cover
-		// surface as ordinary narrowing findings. A stale joinsync allow
-		// proves used-tracking covers the goroutine-lifecycle check too.
+		// surface as ordinary narrowing findings. A stale hotblock allow
+		// proves used-tracking covers an analyzer that only looks at
+		// annotated functions.
 		{name: "allowedge", paths: []string{"chrome/internal/vetfixture/allowedge"}, dirs: []string{"allowedge"},
-			analyzers: []string{"narrowing", "allow", "guardedby", "lockorder", "hotblock"}},
-		{name: "guardedby", paths: []string{"chrome/internal/vetfixture/guardedby"}, dirs: []string{"guardedby"}},
-		{name: "lockorder", paths: []string{"chrome/internal/vetfixture/lockorder"}, dirs: []string{"lockorder"}},
+			analyzers: []string{"narrowing", "allow"}},
 		// The sleeping case deliberately also trips walltime: the
 		// wall-clock ban applies to internal packages hot or not.
 		{name: "hotblock", paths: []string{"chrome/internal/vetfixture/hotblock"}, dirs: []string{"hotblock"},

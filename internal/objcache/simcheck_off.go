@@ -7,6 +7,4 @@ const SimcheckEnabled = false
 
 // check is the sanitizer stub; see simcheck_on.go for the real invariant
 // walk compiled in under -tags simcheck.
-//
-//chromevet:locked mu
 func (s *shard) check() {}

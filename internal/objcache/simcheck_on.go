@@ -15,8 +15,6 @@ const SimcheckEnabled = true
 // bytes). Violations panic with enough context to localize the corrupting
 // operation. Without -tags simcheck this compiles to an empty function
 // (see simcheck_off.go).
-//
-//chromevet:locked mu
 func (s *shard) check() {
 	live := 0
 	var bytes int64

@@ -10,10 +10,9 @@ package trace
 // number of Replayers then serve it back with a cache-friendly column scan,
 // zero allocations, and a per-core rebase offset.
 //
-// The freeze discipline is certified by chromevet's frozenshare analyzer:
-// once Freeze runs, every mutating method panics, which is what makes a
-// Recording safe to share read-only across the parallel experiment
-// runner's workers.
+// The freeze discipline: once Freeze runs, every mutating method panics
+// (TestRecordingFreezeDiscipline), which is what makes a Recording safe to
+// share read-only across the parallel experiment runner's workers.
 
 import (
 	"fmt"
@@ -30,8 +29,6 @@ const (
 // Recording is a frozen, immutable trace stream in struct-of-arrays layout:
 // one column per Record field group, so replay touches dense homogeneous
 // arrays instead of striding over padded structs.
-//
-//chromevet:frozenshare
 type Recording struct {
 	name string
 	// Parallel columns, one entry per record.

@@ -14,9 +14,9 @@ import (
 
 // Recording cache: each (profile, seed, budget) is recorded exactly once per
 // process and the frozen trace.Recording is shared — across the K schemes of
-// a cell row, across parallel cells (read-only sharing certified by
-// chromevet's frozenshare analyzer), and, when a trace directory is set,
-// across process runs via the CHRC on-disk format.
+// a cell row, across parallel cells (read-only: a frozen recording panics
+// on any mutation), and, when a trace directory is set, across process
+// runs via the CHRC on-disk format.
 //
 // The cache follows the registry's freeze discipline: the outer
 // per-profile map is built exactly once, after the registry latch flips, so
@@ -34,8 +34,8 @@ type recKey struct {
 // only guards the inner map; the *trace.Recording values are frozen and
 // shared without locks.
 type profileRecordings struct {
-	mu   sync.Mutex                  //chromevet:lockrank 10
-	recs map[recKey]*trace.Recording //chromevet:guardedby mu
+	mu   sync.Mutex
+	recs map[recKey]*trace.Recording
 }
 
 var (

@@ -3,6 +3,7 @@ package workload
 import (
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"chrome/internal/trace"
@@ -60,20 +61,39 @@ func TestNewReplayMatchesNew(t *testing.T) {
 	}
 }
 
+// TestRecordedCacheSharesOneRecording makes the first Recorded call for its
+// (profile, budget) from 8 goroutines at once, at a budget no other test
+// records: all of them must get one recording, and under -race a cache
+// lookup outside the per-profile lock is a reported race.
 func TestRecordedCacheSharesOneRecording(t *testing.T) {
 	p, err := ByName("gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := Recorded(p, 10_000)
-	b := Recorded(p, 10_000)
-	if a != b {
+	const budget = 11_000
+	got := make([]*trace.Recording, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = Recorded(p, budget)
+		}()
+	}
+	wg.Wait()
+	a := got[0]
+	for i, r := range got {
+		if r != a {
+			t.Fatalf("caller %d got a different recording: concurrent first use must record once", i)
+		}
+	}
+	if b := Recorded(p, budget); b != a {
 		t.Fatal("same (profile, budget) must return the identical recording")
 	}
 	if c := Recorded(p, 20_000); c == a {
 		t.Fatal("distinct budgets must not share a recording")
 	}
-	gens := HomogeneousReplayMix(p, 4, 10_000)
+	gens := HomogeneousReplayMix(p, 4, budget)
 	if len(gens) != 4 {
 		t.Fatalf("got %d generators, want 4", len(gens))
 	}
