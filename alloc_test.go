@@ -1,19 +1,19 @@
 package chrome
 
 // TestAllocBudget pins the simulator's zero-allocation contract (DESIGN.md
-// §7): the per-access operations exercised by the hot microbenches must not
-// allocate in steady state. The structural side of the same contract is
-// enforced by chromevet's hotalloc analyzer on //chromevet:hot functions;
-// this test is the behavioural gate that catches what escape analysis
-// decides at compile time. Each subtest warms its structure to its
-// high-water mark first, so one-time growth (prefetch scratch, sampled-set
-// histories) is excluded and only per-access traffic is measured.
+// §7): nothing on the per-access path allocates in steady state. The
+// System subtests run every scheme's full system step, and together the
+// subtests reach every //chromevet:hot function. Each subtest warms its
+// structure to its high-water mark first, so one-time growth (prefetch
+// scratch, sampled-set histories) is excluded and only per-access traffic
+// is measured.
 
 import (
 	"testing"
 
 	"chrome/internal/cache"
 	intchrome "chrome/internal/chrome"
+	"chrome/internal/experiments"
 	"chrome/internal/mem"
 	"chrome/internal/policy"
 	"chrome/internal/sim"
@@ -54,6 +54,17 @@ func TestAllocBudget(t *testing.T) {
 		})
 	})
 
+	t.Run("AgentStep", func(t *testing.T) {
+		cfg := intchrome.DefaultConfig()
+		cfg.SampledSets = 256
+		cfg.StateFeatures = []intchrome.FeatureKind{intchrome.FeatPCHistory, intchrome.FeatDeltaHistory}
+		a := intchrome.New(cfg, 2048, 12)
+		check(t, "Agent.Step (PC and delta history)", func(i int) {
+			addr := mem.Addr(mem.Mix64(uint64(i)) % (1 << 28) &^ 63)
+			a.Step(mem.Access{PC: mem.PCOf(uint64(i % 31)), Addr: addr, Type: mem.Load, Cycle: mem.CycleOf(uint64(i))}, i&3 == 0)
+		})
+	})
+
 	t.Run("QTableLookup", func(t *testing.T) {
 		qt := intchrome.NewQTable(intchrome.DefaultConfig())
 		check(t, "QTable lookup", func(i int) {
@@ -80,14 +91,12 @@ func TestAllocBudget(t *testing.T) {
 	})
 
 	t.Run("TraceNext", func(t *testing.T) {
-		p, err := workload.ByName("mcf")
-		if err != nil {
-			t.Fatal(err)
+		for _, p := range workload.All() {
+			g := p.New(0)
+			check(t, "trace Next ("+p.Name+")", func(int) {
+				g.Next()
+			})
 		}
-		g := p.New(0)
-		check(t, "trace Next (mcf)", func(int) {
-			g.Next()
-		})
 	})
 
 	t.Run("ReplayNext", func(t *testing.T) {
@@ -109,5 +118,34 @@ func TestAllocBudget(t *testing.T) {
 		check(t, "DRAM access", func(i int) {
 			d.Access(mem.Addr(i*64), mem.CycleOf(uint64(i*3)), i&7 == 0)
 		})
+	})
+
+	// A whole 4-core system per scheme, default prefetchers, one
+	// heterogeneous mix. Run's fixed cost (collect's per-core Result
+	// slices) is the same for any length, so a Run of 40,000 instructions
+	// per core allocating more than one of 1,000 means the step itself
+	// allocates.
+	t.Run("System", func(t *testing.T) {
+		pf := experiments.PFDefault()
+		mix := workload.HeterogeneousMixes(4, 1, 1)[0]
+		for _, s := range experiments.AllSchemes() {
+			t.Run(s.Name, func(t *testing.T) {
+				cfg := sim.ScaledConfig(4)
+				cfg.L1Prefetcher, cfg.L2Prefetcher = pf.L1, pf.L2
+				sys := sim.New(cfg, mix.Generators(), s.Factory)
+				target := mem.Instr(20_000)
+				sys.Run(0, target)
+				perRun := func(step mem.Instr) float64 {
+					return testing.AllocsPerRun(4, func() {
+						target += step
+						sys.Run(0, target)
+					})
+				}
+				if short, long := perRun(1_000), perRun(40_000); short != long {
+					t.Errorf("%s: %.0f allocs per Run of 1,000 instructions/core, %.0f per Run of 40,000: the system step allocates",
+						s.Name, short, long)
+				}
+			})
+		}
 	})
 }

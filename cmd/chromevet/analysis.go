@@ -18,21 +18,16 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
 }
 
-// Scope restricts which packages a per-package analyzer inspects.
+// Scope restricts which packages an analyzer inspects.
 type Scope int
 
 const (
 	// ScopeInternal covers every package under <module>/internal/.
 	ScopeInternal Scope = iota
 	// ScopeCore covers the simulator-state packages whose behaviour feeds
-	// reported results — the packages pinned single-threaded by the
-	// parallel-safety layer: internal/{sim,cache,policy,chrome,cpu,camat,
+	// reported results: internal/{sim,cache,policy,chrome,cpu,camat,
 	// prefetch} and below.
 	ScopeCore
-	// ScopeModule covers every package of the module (internal, cmd,
-	// examples): used by checks whose invariant crosses the internal
-	// boundary, like the typed-quantity discipline.
-	ScopeModule
 )
 
 // coreDirs are the ScopeCore package roots (relative to <module>/internal/).
@@ -40,9 +35,6 @@ var coreDirs = []string{"sim", "cache", "policy", "chrome", "cpu", "camat", "pre
 
 // inScope reports whether a package path falls under the scope.
 func inScope(s Scope, modPath, pkgPath string) bool {
-	if s == ScopeModule {
-		return pkgPath == modPath || strings.HasPrefix(pkgPath, modPath+"/")
-	}
 	rest, ok := strings.CutPrefix(pkgPath, modPath+"/internal/")
 	if !ok {
 		return false
@@ -66,18 +58,7 @@ type Analyzer struct {
 	Run   func(*Pass) []Finding
 }
 
-// GlobalAnalyzer is a whole-program check that may load further packages.
-// Scope records which packages the check can produce findings in; the
-// suppression audit uses it to decide whether an unused allow comment for
-// the analyzer is stale.
-type GlobalAnalyzer struct {
-	Name  string
-	Doc   string
-	Scope Scope
-	Run   func(l *Loader, loaded []*Package) []Finding
-}
-
-// Pass hands one package to a per-package analyzer.
+// Pass hands one package to an analyzer.
 type Pass struct {
 	L *Loader
 	P *Package
@@ -85,84 +66,34 @@ type Pass struct {
 
 func (p *Pass) pos(at token.Pos) token.Position { return p.L.Fset.Position(at) }
 
-// Analyzers returns the per-package analyzer suite.
+// Analyzers returns the analyzer suite.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		analyzerMapRange(),
-		analyzerGlobalRand(),
-		analyzerWallTime(),
-		analyzerNarrowing(),
-		analyzerFloatEq(),
-		analyzerGlobalMut(),
 		analyzerConcPrim(),
-		analyzerHotAlloc(),
-		analyzerUnits(),
-		analyzerHwWidth(),
 		analyzerHotBlock(),
 	}
 }
 
-// GlobalAnalyzers returns the whole-program analyzer suite.
-func GlobalAnalyzers() []*GlobalAnalyzer {
-	return []*GlobalAnalyzer{
-		analyzerPolicyReg(),
-		analyzerAliasShare(),
-		analyzerFixtures(),
-	}
-}
-
-// RunAnalyzers applies the per-package suite to the loaded packages and the
-// global suite to the whole set, dropping findings suppressed by
+// RunAnalyzers applies the suite to the loaded packages, each analyzer to
+// the packages in its scope, dropping findings suppressed by
 // "//chromevet:allow" comments, and returns the sorted findings (including
 // the suppression audit's stale/unknown-allow findings).
-func RunAnalyzers(l *Loader, pkgs []*Package) []Finding {
-	var out []Finding
-	byPath := map[string]*Package{}
-	for _, p := range pkgs {
-		byPath[p.Path] = p
-	}
-	ran := map[*Package]map[string]bool{}
-	for _, p := range pkgs {
-		ran[p] = map[string]bool{}
-		for _, a := range Analyzers() {
-			if !inScope(a.Scope, l.ModPath, p.Path) {
-				continue
-			}
-			ran[p][a.Name] = true
-			out = append(out, filterAllowed(p, a.Name, a.Run(&Pass{L: l, P: p}))...)
-		}
-	}
-	for _, g := range GlobalAnalyzers() {
-		fs := g.Run(l, pkgs)
-		for _, f := range fs {
-			if p, ok := byPath[pathForFile(l, pkgs, f)]; ok && p.Allowed(f.Analyzer, f.Pos) {
-				continue
-			}
-			out = append(out, f)
-		}
-		for _, p := range pkgs {
-			if inScope(g.Scope, l.ModPath, p.Path) {
-				ran[p][g.Name] = true
-			}
-		}
-	}
-	for _, p := range pkgs {
-		out = append(out, auditAllows(p, ran[p])...)
-	}
-	SortFindings(out)
-	return out
-}
+func RunAnalyzers(l *Loader, pkgs []*Package) []Finding { return runSuite(l, pkgs, true) }
 
-// RunSelfAudit applies every per-package analyzer to the given packages
-// regardless of scope: chromevet holding its own source to the rules it
-// enforces on the simulator. Global analyzers are skipped — they reason
-// about the simulator's package graph (policy registry, fixture coverage),
-// not about any single package's code.
-func RunSelfAudit(l *Loader, pkgs []*Package) []Finding {
+// RunSelfAudit applies every analyzer to the given packages regardless of
+// scope: chromevet holding its own source to the rules it enforces on the
+// simulator.
+func RunSelfAudit(l *Loader, pkgs []*Package) []Finding { return runSuite(l, pkgs, false) }
+
+func runSuite(l *Loader, pkgs []*Package, scoped bool) []Finding {
 	var out []Finding
 	for _, p := range pkgs {
 		ran := map[string]bool{}
 		for _, a := range Analyzers() {
+			if scoped && !inScope(a.Scope, l.ModPath, p.Path) {
+				continue
+			}
 			ran[a.Name] = true
 			out = append(out, filterAllowed(p, a.Name, a.Run(&Pass{L: l, P: p}))...)
 		}
@@ -184,9 +115,6 @@ func auditAllows(p *Package, ran map[string]bool) []Finding {
 	for _, a := range Analyzers() {
 		known[a.Name] = true
 	}
-	for _, g := range GlobalAnalyzers() {
-		known[g.Name] = true
-	}
 	var out []Finding
 	for _, rec := range p.allowRecords {
 		switch {
@@ -205,21 +133,6 @@ func auditAllows(p *Package, ran map[string]bool) []Finding {
 		}
 	}
 	return out
-}
-
-// pathForFile maps a finding back to its package (best effort, for allow
-// comments on global-analyzer findings). The longest matching directory
-// wins, so files in nested packages are not claimed by the module root.
-func pathForFile(l *Loader, pkgs []*Package, f Finding) string {
-	best, bestLen := "", -1
-	for _, p := range pkgs {
-		if strings.HasPrefix(f.Pos.Filename, p.Dir+string('/')) || f.Pos.Filename == p.Dir {
-			if len(p.Dir) > bestLen {
-				best, bestLen = p.Path, len(p.Dir)
-			}
-		}
-	}
-	return best
 }
 
 func filterAllowed(p *Package, analyzer string, fs []Finding) []Finding {

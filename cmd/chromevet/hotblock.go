@@ -1,15 +1,14 @@
 package main
 
 // The hotblock analyzer (DESIGN.md §11): functions annotated
-// `//chromevet:hot` must never block. The hotalloc analyzer already keeps
-// allocation out of the per-access path; hotblock completes the family by
-// keeping synchronization and I/O out: no mutex operations, no channel
-// send/receive/select, no time.Sleep-style waits, no I/O calls. A hot
-// function that blocks stalls every access behind it — the per-access
-// budget is tens of nanoseconds, and even an uncontended mutex is a
-// meaningful fraction of that. No test catches it: a lock taken and
-// released on one goroutine is no data race, allocates nothing, and
-// changes no output.
+// `//chromevet:hot` must never block. TestAllocBudget keeps allocation out
+// of the per-access path; hotblock keeps synchronization and I/O out: no
+// mutex operations, no channel send/receive/select, no time.Sleep-style
+// waits, no I/O calls. A hot function that blocks stalls every access
+// behind it — the per-access budget is tens of nanoseconds, and even an
+// uncontended mutex is a meaningful fraction of that. No test catches it:
+// a lock taken and released on one goroutine is no data race, allocates
+// nothing, and changes no output.
 
 import (
 	"fmt"
@@ -73,6 +72,20 @@ func runHotBlock(pass *Pass) []Finding {
 	return out
 }
 
+// hotAnnotated reports whether the function's doc comment carries the
+// //chromevet:hot directive.
+func hotAnnotated(fd *ast.FuncDecl) bool {
+	if fd.Doc == nil {
+		return false
+	}
+	for _, c := range fd.Doc.List {
+		if c.Text == "//chromevet:hot" {
+			return true
+		}
+	}
+	return false
+}
+
 // blockingCallDesc classifies a call as blocking (or I/O) by its callee's
 // package: sync primitives (any method — a hot path should not touch a
 // mutex at all, and Lock can park the goroutine), the waiting half of
@@ -121,4 +134,18 @@ func recvTypeName(fn *types.Func) string {
 		return named.Obj().Name()
 	}
 	return ""
+}
+
+// calleeOf resolves a call's static callee (nil for builtins, conversions,
+// and indirect calls through function values).
+func calleeOf(p *Package, call *ast.CallExpr) *types.Func {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		fn, _ := p.Info.Uses[fun].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		fn, _ := p.Info.Uses[fun.Sel].(*types.Func)
+		return fn
+	}
+	return nil
 }

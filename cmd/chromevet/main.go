@@ -1,41 +1,23 @@
 // Command chromevet is the project-specific static-analysis suite of the
 // CHROME simulator repository. It is built from the standard library only
-// (go/parser + go/types + the source importer) and enforces invariants `go
-// vet` cannot know about:
+// (go/parser + go/types + the source importer) and enforces the three
+// invariants that neither the tests, the race detector nor `go vet` catch
+// (DESIGN.md §11):
 //
-//   - determinism: no map-iteration order reaching simulator state or
-//     results (maprange), no global math/rand source (globalrand), no
-//     wall-clock reads (walltime) in internal packages;
-//   - numeric safety: no unguarded narrowing of uint64 cycle/address
-//     counters (narrowing), no exact float equality (floateq);
-//   - structure: every concrete cache.Policy is reachable from the
-//     experiment scheme registry (policyreg), and every analyzer has a
-//     testdata fixture (fixtures);
-//   - parallel safety: no package-level state written after init time
-//     (globalmut), no exported core-package API retaining caller-provided
-//     mutable objects (aliasshare), and no concurrency primitives inside
-//     the single-threaded core simulator packages (concprim). Together
-//     these certify that simulator instances share no mutable state, so
-//     the experiments runner may execute cells concurrently;
-//   - dimension safety: raw integers may become typed hardware quantities
-//     (mem.Addr, mem.Cycle, ...) only through the mem package's named
-//     constructors and accessors, and quantities never cross dimensions or
-//     multiply into nonsense units (units); struct fields annotated
-//     "//chromevet:width N" model N-bit hardware registers and every store
-//     to them must be provably within the width (hwwidth);
-//   - performance: no allocation sites (make/new/escaping composite
-//     literals/growable appends) inside functions annotated
-//     //chromevet:hot — the certified zero-allocation per-access path
-//     whose steady-state heap traffic TestAllocBudget pins to zero
-//     (hotalloc, DESIGN.md §7);
-//   - blocking: //chromevet:hot functions never block — no sync
-//     primitives, channel operations, timer waits, or I/O (hotblock,
-//     DESIGN.md §11). Lock discipline and goroutine joins outside the hot
-//     path are left to tests under the race detector.
+//   - maprange: no map-iteration order reaching simulator state or results
+//     in the core simulator packages;
+//   - concprim: no concurrency primitives (goroutines, channels, select,
+//     sync imports) inside those single-threaded core packages;
+//   - hotblock: functions annotated //chromevet:hot never block — no sync
+//     primitives, channel operations, timer waits, or I/O.
+//
+// Determinism, numeric widths, dimension safety and allocation on the hot
+// path are held by tests instead: the committed report and result digests,
+// the policy tests, TestAllocBudget and the race detector.
 //
 // Findings can be suppressed line-by-line with a justification comment:
 //
-//	//chromevet:allow narrowing -- value clamped to maxRD above
+//	//chromevet:allow maprange -- collect-then-sort: the keys are sorted below
 //
 // The suppressions are audited in turn: an allow naming an unknown analyzer
 // or one whose analyzer reports nothing on that line (a stale waiver) is
@@ -43,8 +25,8 @@
 //
 // Usage: go run ./cmd/chromevet ./...
 // Exit status is 1 when any finding is reported, 0 on a clean tree.
-// The -self flag audits chromevet's own source with every per-package
-// analyzer, scopes bypassed — the suite holds itself to its own rules.
+// The -self flag audits chromevet's own source with every analyzer, scopes
+// bypassed — the suite holds itself to its own rules.
 // The -json flag emits findings as a JSON array (file/line/column/
 // analyzer/message) for tooling such as CI annotation emitters.
 package main
@@ -68,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("chromevet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	verbose := fs.Bool("v", false, "list analyzed packages")
-	self := fs.Bool("self", false, "audit chromevet's own source with every per-package analyzer, ignoring scopes")
+	self := fs.Bool("self", false, "audit chromevet's own source with every analyzer, ignoring scopes")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array (file/line/column/analyzer/message)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -98,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *self {
 		// The self-audit holds the analyzer suite to its own rules; the
 		// scope bypass matters because cmd/chromevet sits outside every
-		// analyzer scope except ScopeModule.
+		// analyzer scope.
 		paths = []string{modPath + "/cmd/chromevet"}
 	}
 	var pkgs []*Package

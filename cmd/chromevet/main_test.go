@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"go/token"
 	"os"
 	"path/filepath"
@@ -64,28 +63,16 @@ func repoRoot(t *testing.T) string {
 }
 
 // fixtureLoader builds a loader rooted at the real module with every
-// fixture package mapped under a realistic import path, so fixtures can
-// import real packages (chrome/internal/mem, chrome/internal/cache) while
-// living in testdata.
+// fixture package mapped under a realistic import path, so the analyzers'
+// scopes apply to fixtures living in testdata.
 func fixtureLoader(t *testing.T) *Loader {
 	t.Helper()
 	root := repoRoot(t)
 	l := NewLoader(root, "chrome")
 	base := filepath.Join(root, "cmd", "chromevet", "testdata", "src")
 	l.Override("chrome/internal/sim/vetfixture", filepath.Join(base, "maprange"))
-	l.Override("chrome/internal/vetfixture/globalrand", filepath.Join(base, "globalrand"))
-	l.Override("chrome/internal/vetfixture/walltime", filepath.Join(base, "walltime"))
-	l.Override("chrome/internal/vetfixture/narrowing", filepath.Join(base, "narrowing"))
-	l.Override("chrome/internal/vetfixture/floateq", filepath.Join(base, "floateq"))
-	l.Override("chrome/internal/policy", filepath.Join(base, "policyreg", "policy"))
-	l.Override("chrome/internal/experiments", filepath.Join(base, "policyreg", "experiments"))
-	l.Override("chrome/internal/vetfixture/globalmut", filepath.Join(base, "globalmut"))
-	l.Override("chrome/internal/policy/parfixture", filepath.Join(base, "aliasshare"))
 	l.Override("chrome/internal/cache/parfixture", filepath.Join(base, "concprim"))
-	l.Override("chrome/internal/vetfixture/hotalloc", filepath.Join(base, "hotalloc"))
-	l.Override("chrome/internal/vetfixture/units", filepath.Join(base, "units"))
-	l.Override("chrome/internal/vetfixture/hwwidth", filepath.Join(base, "hwwidth"))
-	l.Override("chrome/internal/vetfixture/allowedge", filepath.Join(base, "allowedge"))
+	l.Override("chrome/internal/sim/allowedge", filepath.Join(base, "allowedge"))
 	l.Override("chrome/internal/vetfixture/hotblock", filepath.Join(base, "hotblock"))
 	return l
 }
@@ -93,7 +80,7 @@ func fixtureLoader(t *testing.T) *Loader {
 // TestFixtures loads each deliberately-broken fixture and checks that the
 // full analyzer suite reports exactly the findings the fixture's want
 // comments describe — each fixture triggers its intended analyzer and no
-// other.
+// other. Every analyzer of the suite must have a row.
 func TestFixtures(t *testing.T) {
 	l := fixtureLoader(t)
 	base := filepath.Join(repoRoot(t), "cmd", "chromevet", "testdata", "src")
@@ -104,28 +91,24 @@ func TestFixtures(t *testing.T) {
 		analyzers []string // analyzer names want comments may use (default: {name})
 	}{
 		{name: "maprange", paths: []string{"chrome/internal/sim/vetfixture"}, dirs: []string{"maprange"}},
-		{name: "globalrand", paths: []string{"chrome/internal/vetfixture/globalrand"}, dirs: []string{"globalrand"}},
-		{name: "walltime", paths: []string{"chrome/internal/vetfixture/walltime"}, dirs: []string{"walltime"}},
-		{name: "narrowing", paths: []string{"chrome/internal/vetfixture/narrowing"}, dirs: []string{"narrowing"}},
-		{name: "floateq", paths: []string{"chrome/internal/vetfixture/floateq"}, dirs: []string{"floateq"}},
-		{name: "policyreg", paths: []string{"chrome/internal/policy"}, dirs: []string{filepath.Join("policyreg", "policy")}},
-		{name: "globalmut", paths: []string{"chrome/internal/vetfixture/globalmut"}, dirs: []string{"globalmut"}},
-		{name: "aliasshare", paths: []string{"chrome/internal/policy/parfixture"}, dirs: []string{"aliasshare"}},
 		{name: "concprim", paths: []string{"chrome/internal/cache/parfixture"}, dirs: []string{"concprim"}},
-		{name: "hotalloc", paths: []string{"chrome/internal/vetfixture/hotalloc"}, dirs: []string{"hotalloc"}},
-		{name: "units", paths: []string{"chrome/internal/vetfixture/units"}, dirs: []string{"units"}},
-		{name: "hwwidth", paths: []string{"chrome/internal/vetfixture/hwwidth"}, dirs: []string{"hwwidth"}},
+		{name: "hotblock", paths: []string{"chrome/internal/vetfixture/hotblock"}, dirs: []string{"hotblock"}},
 		// The suppression audit: misplaced and typo'd allows are findings of
 		// the pseudo-analyzer "allow"; the hazards they fail to cover
-		// surface as ordinary narrowing findings. A stale hotblock allow
+		// surface as ordinary maprange findings. A stale hotblock allow
 		// proves used-tracking covers an analyzer that only looks at
 		// annotated functions.
-		{name: "allowedge", paths: []string{"chrome/internal/vetfixture/allowedge"}, dirs: []string{"allowedge"},
-			analyzers: []string{"narrowing", "allow"}},
-		// The sleeping case deliberately also trips walltime: the
-		// wall-clock ban applies to internal packages hot or not.
-		{name: "hotblock", paths: []string{"chrome/internal/vetfixture/hotblock"}, dirs: []string{"hotblock"},
-			analyzers: []string{"hotblock", "walltime"}},
+		{name: "allowedge", paths: []string{"chrome/internal/sim/allowedge"}, dirs: []string{"allowedge"},
+			analyzers: []string{"maprange", "allow"}},
+	}
+	rows := map[string]bool{}
+	for _, tc := range cases {
+		rows[tc.name] = true
+	}
+	for _, a := range Analyzers() {
+		if !rows[a.Name] {
+			t.Errorf("analyzer %q has no TestFixtures row: add a fixture under testdata/src/%s", a.Name, a.Name)
+		}
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -189,23 +172,23 @@ func TestFixtures(t *testing.T) {
 // allow comments must surface new findings.
 func TestAllowSuppression(t *testing.T) {
 	l := fixtureLoader(t)
-	pkg, err := l.Load("chrome/internal/vetfixture/narrowing")
+	pkg, err := l.Load("chrome/internal/sim/allowedge")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The clamped() helper converts an unbounded-looking uint64; the only
-	// thing keeping it quiet is the allow comment.
+	// properlyUsed's collect-then-sort append writes an outer slice inside
+	// a map range; the only thing keeping it quiet is the allow comment.
 	pkg.allow = map[string]map[int][]*allowRecord{}
 	pkg.allowRecords = nil
 	findings := RunAnalyzers(l, []*Package{pkg})
 	found := false
 	for _, f := range findings {
-		if f.Analyzer == "narrowing" && strings.Contains(f.Message, "uint8") {
+		if f.Analyzer == "maprange" && strings.Contains(f.Message, `"ids"`) {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("expected a suppressed uint8 narrowing finding after clearing allows; got %v", findings)
+		t.Fatalf("expected a suppressed maprange finding on \"ids\" after clearing allows; got %v", findings)
 	}
 }
 
@@ -300,9 +283,9 @@ func TestExpandPatterns(t *testing.T) {
 // array on a clean tree.
 func TestWriteJSON(t *testing.T) {
 	findings := []Finding{{
-		Analyzer: "narrowing",
+		Analyzer: "maprange",
 		Pos:      token.Position{Filename: "/work/repo/internal/sim/clock.go", Line: 3, Column: 7},
-		Message:  "uint8(...) narrows",
+		Message:  "return inside map iteration",
 	}}
 	var buf strings.Builder
 	if err := writeJSON(&buf, "/work/repo", findings); err != nil {
@@ -312,7 +295,7 @@ func TestWriteJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(buf.String()), &got); err != nil {
 		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
 	}
-	want := []jsonFinding{{File: "internal/sim/clock.go", Line: 3, Column: 7, Analyzer: "narrowing", Message: "uint8(...) narrows"}}
+	want := []jsonFinding{{File: "internal/sim/clock.go", Line: 3, Column: 7, Analyzer: "maprange", Message: "return inside map iteration"}}
 	if len(got) != 1 || got[0] != want[0] {
 		t.Errorf("writeJSON = %+v, want %+v", got, want)
 	}
@@ -325,5 +308,3 @@ func TestWriteJSON(t *testing.T) {
 		t.Errorf("clean tree should emit an empty array, got %q", buf.String())
 	}
 }
-
-var _ = fmt.Sprintf // keep fmt imported for debugging edits

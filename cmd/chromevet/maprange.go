@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // analyzerMapRange flags `for range m` loops over maps in the core
@@ -202,108 +201,4 @@ func rootIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
-}
-
-// analyzerGlobalRand flags calls to the process-global top-level functions
-// of math/rand and math/rand/v2 in internal packages. The global source is
-// seeded per process (and shared across goroutines), so its use makes runs
-// irreproducible; every random stream in the simulator must come from an
-// explicitly seeded *rand.Rand (rand.New(rand.NewPCG(seed, ...))).
-func analyzerGlobalRand() *Analyzer {
-	return &Analyzer{
-		Name:  "globalrand",
-		Doc:   "use of the global math/rand source (unseeded nondeterminism)",
-		Scope: ScopeInternal,
-		Run:   runGlobalRand,
-	}
-}
-
-// usedIdents returns the identifiers of the package's Uses map in source
-// order, so analyzers that walk it report deterministically.
-func usedIdents(pass *Pass) []*ast.Ident {
-	ids := make([]*ast.Ident, 0, len(pass.P.Info.Uses))
-	for id := range pass.P.Info.Uses {
-		ids = append(ids, id) //chromevet:allow maprange -- collect-then-sort: gathers the keys for the sort below
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Pos() < ids[j].Pos() })
-	return ids
-}
-
-func runGlobalRand(pass *Pass) []Finding {
-	var out []Finding
-	for _, id := range usedIdents(pass) {
-		obj := pass.P.Info.Uses[id]
-		fn, ok := obj.(*types.Func)
-		if !ok || fn.Pkg() == nil {
-			continue
-		}
-		path := fn.Pkg().Path()
-		if path != "math/rand" && path != "math/rand/v2" {
-			continue
-		}
-		// Package-level functions only (methods on *rand.Rand are fine), and
-		// the explicit constructors (New, NewPCG, NewSource, ...) are the
-		// sanctioned escape to a seeded generator.
-		if fn.Type().(*types.Signature).Recv() != nil {
-			continue
-		}
-		if len(fn.Name()) >= 3 && fn.Name()[:3] == "New" {
-			continue
-		}
-		out = append(out, Finding{
-			Analyzer: "globalrand",
-			Pos:      pass.pos(id.Pos()),
-			Message: fmt.Sprintf("call to global %s.%s: simulator randomness must come from a seeded *rand.Rand",
-				fn.Pkg().Name(), fn.Name()),
-		})
-	}
-	return out
-}
-
-// analyzerWallTime flags wall-clock reads in internal packages. Simulated
-// time is the only clock the simulator may observe; wall-clock values leak
-// host scheduling into results and break replayability.
-func analyzerWallTime() *Analyzer {
-	return &Analyzer{
-		Name:  "walltime",
-		Doc:   "wall-clock access (time.Now etc.) inside the simulator",
-		Scope: ScopeInternal,
-		Run:   runWallTime,
-	}
-}
-
-// wallClockFuncs are the package time functions that observe or depend on
-// the host clock or scheduler.
-var wallClockFuncs = map[string]bool{
-	"Now": true, "Since": true, "Until": true, "Sleep": true,
-	"After": true, "Tick": true, "NewTimer": true, "NewTicker": true, "AfterFunc": true,
-}
-
-func runWallTime(pass *Pass) []Finding {
-	var out []Finding
-	for _, id := range usedIdents(pass) {
-		obj := pass.P.Info.Uses[id]
-		fn, ok := obj.(*types.Func)
-		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" {
-			continue
-		}
-		if fn.Type().(*types.Signature).Recv() != nil || !wallClockFuncs[fn.Name()] {
-			continue
-		}
-		out = append(out, Finding{
-			Analyzer: "walltime",
-			Pos:      pass.pos(id.Pos()),
-			Message:  fmt.Sprintf("time.%s reads the host clock: simulator code must use simulated cycles", fn.Name()),
-		})
-	}
-	return out
-}
-
-func pathBase(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[i+1:]
-		}
-	}
-	return path
 }

@@ -1,9 +1,8 @@
 // Package fixture exercises the hotblock analyzer: functions annotated
 // //chromevet:hot must never block — no sync primitives, channel
-// operations, timer waits, or I/O (DESIGN.md §11). The time.Sleep case
-// deliberately also trips walltime (the wall-clock ban applies everywhere
-// in internal packages, hot or not). Loaded by the driver test under
-// chrome/internal/vetfixture/hotblock so the internal scope applies.
+// operations, timer waits, or I/O (DESIGN.md §11). Loaded by the driver
+// test under chrome/internal/vetfixture/hotblock so the internal scope
+// applies.
 package fixture
 
 import (
@@ -54,7 +53,7 @@ func (w *waiter) hotDrain() int {
 //
 //chromevet:hot
 func hotWait() int {
-	time.Sleep(time.Millisecond) // want hotblock "call to time.Sleep in hot function hotWait" // want walltime "time.Sleep"
+	time.Sleep(time.Millisecond) // want hotblock "call to time.Sleep in hot function hotWait"
 	b, _ := os.ReadFile("x")     // want hotblock "I/O call to os.ReadFile in hot function hotWait"
 	return len(b)
 }

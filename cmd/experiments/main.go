@@ -13,8 +13,9 @@
 // Independent simulation cells (one mix under one scheme) run on a bounded
 // worker pool sized by -j; results are merged deterministically, so the
 // output is byte-identical to a sequential run (-j 1) at equal seeds. The
-// core simulator packages are single-threaded — chromevet's parallel-safety
-// analyzers certify that concurrent cells share no mutable state.
+// core simulator packages are single-threaded, and concurrent cells share
+// no mutable state (the race-detector run of TestParallelMatchesSequential
+// checks it).
 package main
 
 import (

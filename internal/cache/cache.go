@@ -180,8 +180,9 @@ type Cache struct {
 }
 
 // New builds a cache level with the given geometry and policy. Sets must be
-// a power of two and both dimensions positive.
-func New(cfg Config, p Policy) *Cache { //chromevet:allow aliasshare -- ownership transfer: each cache owns a freshly built policy (sim.New calls the factory per instance)
+// a power of two and both dimensions positive. The cache owns p from here
+// on: build a fresh policy per cache (sim.New calls its factory per level).
+func New(cfg Config, p Policy) *Cache {
 	if cfg.Sets <= 0 || cfg.Sets&(cfg.Sets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: sets must be a positive power of two, got %d", cfg.Name, cfg.Sets))
 	}
@@ -216,10 +217,12 @@ func (c *Cache) ResetStats() {
 }
 
 // SetEvictionTracker installs an optional unused-eviction tracker (Fig. 2).
-func (c *Cache) SetEvictionTracker(t *ReuseTracker) { c.evictTracker = t } //chromevet:allow aliasshare -- ownership transfer: callers build one tracker per system
+// The cache keeps t, so each cache needs a tracker of its own.
+func (c *Cache) SetEvictionTracker(t *ReuseTracker) { c.evictTracker = t }
 
 // SetBypassTracker installs an optional bypass-efficiency tracker (Fig. 9).
-func (c *Cache) SetBypassTracker(t *ReuseTracker) { c.bypassTracker = t } //chromevet:allow aliasshare -- ownership transfer: callers build one tracker per system
+// The cache keeps t, so each cache needs a tracker of its own.
+func (c *Cache) SetBypassTracker(t *ReuseTracker) { c.bypassTracker = t }
 
 // SetIndex returns the set index for an address.
 func (c *Cache) SetIndex(a mem.Addr) mem.SetIdx {

@@ -6,6 +6,6 @@ package mono
 import "chrome/internal/cache"
 
 // For returns cache.New(cfg, p).
-func For(cfg cache.Config, p cache.Policy) cache.Level { //chromevet:allow aliasshare -- ownership transfer: the cache owns the freshly built policy, as with cache.New
+func For(cfg cache.Config, p cache.Policy) cache.Level {
 	return cache.New(cfg, p)
 }

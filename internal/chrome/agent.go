@@ -29,9 +29,9 @@ type Agent struct {
 	Obstructed func(core mem.CoreID) bool
 
 	// epv holds the 2-bit Eviction Priority Value of every LLC line.
-	epv [][]uint8 //chromevet:width 2
+	epv [][]uint8
 	// pending carries the insertion EPV from Victim to OnFill.
-	pendingEPV   uint8 //chromevet:width 2
+	pendingEPV   uint8
 	pendingValid bool
 
 	stats AgentStats

@@ -19,7 +19,7 @@ type Decision struct {
 	Bypass bool
 	// EPV is the 2-bit eviction priority the object is filed under —
 	// band 3 is evicted first, band 0 last (victimByEPV's order).
-	EPV uint8 //chromevet:width 2
+	EPV uint8
 }
 
 // Step drives one request through the Algorithm-1 step and returns its

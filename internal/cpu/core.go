@@ -56,7 +56,8 @@ type Core struct {
 }
 
 // New builds a core over the given trace generator and memory callback.
-func New(id mem.CoreID, cfg Config, gen trace.Generator, memFn MemFunc) *Core { //chromevet:allow aliasshare -- ownership transfer: sim.New hands each core its own generator
+// The core owns gen from here on (sim.New hands each core its own).
+func New(id mem.CoreID, cfg Config, gen trace.Generator, memFn MemFunc) *Core {
 	if cfg.Width <= 0 || cfg.ROB <= 0 {
 		panic("cpu: width and ROB must be positive")
 	}

@@ -244,9 +244,9 @@ func DefaultSchemes() []Scheme {
 
 // AllSchemes returns every registered scheme: the paper's five compared
 // schemes plus the extension baselines (§VIII). The registry-completeness
-// tests (internal/policy and cmd/chromevet's policyreg analyzer) hold this
-// list to the policy package's exported constructors, so a new policy must
-// be added here to land.
+// test (internal/policy's TestRegistryComplete) holds this list to the
+// policy package's exported constructors, so a new policy must be added
+// here to land.
 func AllSchemes() []Scheme {
 	return append(DefaultSchemes(),
 		SRRIPScheme(), DRRIPScheme(), PACManScheme(), SHiPPPScheme())

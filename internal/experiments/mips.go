@@ -15,7 +15,7 @@ var simInstructions atomic.Uint64
 
 // countInstructions records a finished cell's retired-instruction total.
 func countInstructions(res sim.Result) {
-	simInstructions.Add(res.TotalInstructions.Uint64()) //chromevet:allow globalmut -- write-only telemetry aggregated across parallel cells; results never read it
+	simInstructions.Add(res.TotalInstructions.Uint64())
 }
 
 // SimulatedInstructions returns the total instructions simulated by this

@@ -6,12 +6,12 @@ import (
 )
 
 // This file is the only concurrent code in internal/: the core simulator
-// packages are pinned single-threaded by chromevet's parsafe analyzers
-// (globalmut, aliasshare, concprim), which certify that simulator
-// instances built from fresh generators share no mutable state. That
-// certificate is what makes the cells of an experiment matrix independent,
-// so they can run on a bounded worker pool while the merged output stays
-// byte-identical to a sequential run at equal seeds.
+// packages are single-threaded (chromevet's concprim analyzer), and
+// simulator instances built from fresh generators share no mutable state
+// (TestParallelMatchesSequential under -race). That makes the cells of an
+// experiment matrix independent, so they can run on a bounded worker pool
+// while the merged output stays byte-identical to a sequential run at
+// equal seeds.
 
 // workers resolves the effective worker count: Scale.Parallelism when set,
 // else one worker per CPU.
@@ -25,7 +25,7 @@ func (sc Scale) workers() int {
 // parMap evaluates fn(0..n-1) and returns the results in index order.
 // With one worker it runs inline, preserving today's sequential execution
 // exactly; otherwise a bounded worker pool executes cells concurrently.
-// fn must only touch cell-local state (the parsafe certificate); results
+// fn must only touch cell-local state; results
 // are merged by index, so output ordering never depends on scheduling.
 func parMap[T any](sc Scale, n int, fn func(int) T) []T {
 	out := make([]T, n)

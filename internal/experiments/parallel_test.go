@@ -88,9 +88,8 @@ func renderGolden(t *testing.T, sc Scale) string {
 
 // TestParallelMatchesSequential is the golden determinism test behind the
 // -j flag: at equal seeds, the rendered reports of a parallel run must be
-// byte-identical to the sequential run. Run under -race in CI, it also
-// certifies the cells share no mutable state (the property the chromevet
-// parsafe analyzers pin statically).
+// byte-identical to the sequential run. Run under -race in CI, it is also
+// the only guard against two cells sharing mutable state.
 func TestParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed")

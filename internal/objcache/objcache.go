@@ -125,7 +125,7 @@ func (s *Stats) add(o Stats) {
 type entry struct {
 	key        string
 	val        []byte
-	band       uint8 //chromevet:width 2
+	band       uint8 // eviction band 0..3, the Decision's EPV
 	prev, next *entry
 }
 

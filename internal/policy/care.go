@@ -18,9 +18,9 @@ type CARE struct {
 	Obstructed func(core mem.CoreID) bool
 
 	sampler Sampler
-	shct    []uint8   //chromevet:width 3 -- saturating reuse counters per signature
-	maxRRPV uint8     //chromevet:width 2
-	rrpv    [][]uint8 //chromevet:width 2
+	shct    []uint8 // 3-bit saturating reuse counters per signature
+	maxRRPV uint8
+	rrpv    [][]uint8
 	// lineSig remembers the fill signature for detraining on unused
 	// eviction (only maintained in sampled sets).
 	lineSig   [][]uint64
@@ -77,7 +77,7 @@ func (c *CARE) Victim(set mem.SetIdx, blocks []cache.Block, _ mem.Access) (int, 
 			}
 		}
 		for w := range r {
-			//chromevet:allow hwwidth -- the scan above returned if any way was at maxRRPV, so every way is below the ceiling and the increment saturates in width
+			// The scan found no way at maxRRPV, so none passes it here.
 			r[w]++
 		}
 	}
@@ -113,7 +113,7 @@ func (c *CARE) OnFill(set mem.SetIdx, way int, _ []cache.Block, acc mem.Access) 
 	if c.obstructed(acc.Core) && r < c.maxRRPV {
 		r++
 	}
-	c.rrpv[set][way] = r //chromevet:allow hwwidth -- r is maxRRPV or maxRRPV-1, saturated below maxRRPV by the r++ guard, all within 2 bits
+	c.rrpv[set][way] = r
 	c.lineSig[set][way] = s
 	c.lineReref[set][way] = false
 }

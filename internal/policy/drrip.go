@@ -11,13 +11,13 @@ import (
 // misses less in its leader sets. Included as additional baseline
 // infrastructure alongside SRRIP and PACMan.
 type DRRIP struct {
-	maxRRPV uint8     //chromevet:width 2
-	rrpv    [][]uint8 //chromevet:width 2
+	maxRRPV uint8
+	rrpv    [][]uint8
 
 	leaderS []bool
 	leaderB []bool
 	// psel ranges over [0, pselMax] = [0, 1024].
-	psel    int //chromevet:width 11
+	psel    int
 	pselMax int
 
 	// brripCtr implements BRRIP's 1-in-32 near insertion deterministically.
@@ -87,7 +87,7 @@ func (d *DRRIP) Victim(set mem.SetIdx, blocks []cache.Block, acc mem.Access) (in
 			}
 		}
 		for w := range r {
-			//chromevet:allow hwwidth -- the scan above returned if any way was at maxRRPV, so every way is below the ceiling and the increment saturates in width
+			// The scan found no way at maxRRPV, so none passes it here.
 			r[w]++
 		}
 	}

@@ -26,8 +26,8 @@ type Glider struct {
 	// pchr is the per-core history of the last pchrDepth hashed PCs.
 	pchr [][pchrDepth]uint16
 
-	maxRRPV uint8     //chromevet:width 3
-	rrpv    [][]uint8 //chromevet:width 3
+	maxRRPV uint8
+	rrpv    [][]uint8
 	averse  [][]bool
 
 	// pendingF carries the feature snapshot from Victim to the OnFill of

@@ -13,11 +13,11 @@ import (
 type Hawkeye struct {
 	sampler  Sampler
 	optgens  []*optGen
-	counters []uint8 //chromevet:width 3 -- saturating, friendly when >= 4
+	counters []uint8 // 3-bit saturating, friendly when >= 4
 	sigBits  uint
 
-	maxRRPV uint8     //chromevet:width 3
-	rrpv    [][]uint8 //chromevet:width 3
+	maxRRPV uint8
+	rrpv    [][]uint8
 	// friendly and lineSig are per-line prediction metadata.
 	friendly [][]bool
 	lineSig  [][]uint64

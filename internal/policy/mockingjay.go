@@ -19,7 +19,7 @@ type Mockingjay struct {
 	// rdp maps signature -> predicted reuse distance (set-access quanta).
 	// Predictions are clamped to maxRD = 16*ways <= 4096 for any
 	// modeled associativity (ways <= 256).
-	rdp []uint16 //chromevet:width 13
+	rdp []uint16
 
 	// Per-set access clock (quanta) and per-line predicted next-use time.
 	clock   []uint64
@@ -90,7 +90,7 @@ func (m *Mockingjay) train(set mem.SetIdx, acc mem.Access) {
 			if rd > uint64(m.maxRD) {
 				rd = uint64(m.maxRD)
 			}
-			m.update(hist[i].sig, uint16(rd)) //chromevet:allow narrowing -- clamped to maxRD above
+			m.update(hist[i].sig, uint16(rd))
 			hist[i] = mjSample{block: block, sig: m.sig(acc), time: now}
 			return
 		}
@@ -113,17 +113,20 @@ func (m *Mockingjay) train(set mem.SetIdx, acc mem.Access) {
 		copy(hist, hist[1:])
 		hist = hist[:len(hist)-1]
 	}
-	m.samples[si] = append(hist, mjSample{block: block, sig: m.sig(acc), time: now}) //chromevet:allow hotalloc -- len < 8*ways here and cap is pre-sized to 8*ways in NewMockingjay
+	// len(hist) < 8*ways here and NewMockingjay pre-sizes cap to 8*ways,
+	// so the append never reallocates.
+	m.samples[si] = append(hist, mjSample{block: block, sig: m.sig(acc), time: now})
 }
 
 // update moves the prediction for sig an eighth of the way to the sample.
+// Every caller clamps sample to maxRD, so the prediction stays within it.
 func (m *Mockingjay) update(sig uint64, sample uint16) {
 	cur := m.rdp[sig]
 	if cur == 0 {
-		m.rdp[sig] = sample //chromevet:allow hwwidth -- every caller clamps sample to maxRD <= 4096
+		m.rdp[sig] = sample
 		return
 	}
-	m.rdp[sig] = uint16(int(cur) + (int(sample)-int(cur))/8) //chromevet:allow hwwidth -- the TD step lands between cur and sample, both within width
+	m.rdp[sig] = uint16(int(cur) + (int(sample)-int(cur))/8)
 }
 
 // predictRD returns the predicted reuse distance for the access. Unseen

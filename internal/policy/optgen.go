@@ -67,7 +67,7 @@ func (g *optGen) Access(block mem.BlockAddr, sig uint64, ctx [pchrDepth]uint16) 
 	for i := range g.history {
 		if g.history[i].block == block {
 			prev := g.history[i]
-			g.history = append(g.history[:i], g.history[i+1:]...) //chromevet:allow hotalloc -- in-place removal: result is shorter than the input slice, never grows
+			g.history = append(g.history[:i], g.history[i+1:]...)
 			prevSig, prevCtx = prev.sig, prev.ctx
 			if now-prev.time < uint64(g.window) {
 				if g.intervalFits(prev.time, now) {
@@ -89,7 +89,7 @@ func (g *optGen) Access(block mem.BlockAddr, sig uint64, ctx [pchrDepth]uint16) 
 		copy(g.history, g.history[1:])
 		g.history = g.history[:len(g.history)-1]
 	}
-	g.history = append(g.history, optRef{block: block, time: now, sig: sig, ctx: ctx}) //chromevet:allow hotalloc -- len < window here and cap is pre-sized to window in newOptGen
+	g.history = append(g.history, optRef{block: block, time: now, sig: sig, ctx: ctx})
 	return label, prevSig, prevCtx
 }
 

@@ -12,15 +12,15 @@ import (
 // and set dueling picks between treating prefetch hits as no-ops (PACMan-H)
 // and additionally demoting prefetch insertions (PACMan-M).
 type PACMan struct {
-	maxRRPV uint8     //chromevet:width 2
-	rrpv    [][]uint8 //chromevet:width 2
+	maxRRPV uint8
+	rrpv    [][]uint8
 
 	// Set dueling: a few leader sets run each variant; follower sets use
 	// the winner according to a saturating miss counter (psel).
 	leaderH []bool
 	leaderM []bool
 	// psel ranges over [0, pselMax] = [0, 1024].
-	psel    int //chromevet:width 11
+	psel    int
 	pselMax int
 }
 
@@ -88,7 +88,7 @@ func (p *PACMan) Victim(set mem.SetIdx, blocks []cache.Block, acc mem.Access) (i
 			}
 		}
 		for w := range r {
-			//chromevet:allow hwwidth -- the scan above returned if any way was at maxRRPV, so every way is below the ceiling and the increment saturates in width
+			// The scan found no way at maxRRPV, so none passes it here.
 			r[w]++
 		}
 	}

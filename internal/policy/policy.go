@@ -147,8 +147,8 @@ func (*LRU) OnEvict(mem.SetIdx, int, []cache.Block) {}
 // ISCA 2010) with maxRRPV=3: insert at 2, promote to 0 on hit, evict the
 // first way at 3 (aging all ways until one reaches 3).
 type SRRIP struct {
-	rrpv    [][]uint8 //chromevet:width 2
-	maxRRPV uint8     //chromevet:width 2
+	rrpv    [][]uint8
+	maxRRPV uint8
 }
 
 // NewSRRIP builds an SRRIP policy for the given geometry.
@@ -176,7 +176,7 @@ func (p *SRRIP) Victim(set mem.SetIdx, blocks []cache.Block, _ mem.Access) (int,
 			}
 		}
 		for w := range r {
-			//chromevet:allow hwwidth -- the scan above returned if any way was at maxRRPV, so every way is below the ceiling and the increment saturates in width
+			// The scan found no way at maxRRPV, so none passes it here.
 			r[w]++
 		}
 	}

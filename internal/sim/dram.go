@@ -193,7 +193,9 @@ func (m *mshr) acquire(start mem.Cycle) mem.Cycle {
 //
 //chromevet:hot
 func (m *mshr) commit(complete mem.Cycle) {
-	m.busy = append(m.busy, complete) //chromevet:allow hotalloc -- len < cap invariant: acquire blocks until below capacity, and busy is pre-sized to cap in newMSHR
+	// acquire returned only once len(busy) < cap, and newMSHR pre-sizes
+	// busy to cap, so the append never reallocates.
+	m.busy = append(m.busy, complete)
 	// Sift the new entry up to its heap position.
 	for i := len(m.busy) - 1; i > 0; {
 		p := (i - 1) / 2

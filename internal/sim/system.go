@@ -133,8 +133,9 @@ type System struct {
 }
 
 // New assembles a system running the LLC policy built by factory, with one
-// trace generator per core.
-func New(cfg Config, gens []trace.Generator, factory PolicyFactory) *System { //chromevet:allow aliasshare -- ownership transfer: callers instantiate fresh generators per system (workload.Profile.New)
+// trace generator per core. The system owns gens from here on: build fresh
+// generators per system (workload.Profile.New).
+func New(cfg Config, gens []trace.Generator, factory PolicyFactory) *System {
 	if len(gens) != cfg.Cores {
 		panic(fmt.Sprintf("sim: %d generators for %d cores", len(gens), cfg.Cores))
 	}
@@ -180,12 +181,14 @@ func (s *System) DRAM() *DRAM { return s.dram }
 func (s *System) Core(i int) *cpu.Core { return s.cores[i] }
 
 // SetEvictionTracker installs a Fig. 2 unused-eviction tracker on the LLC.
-func (s *System) SetEvictionTracker(t *cache.ReuseTracker) { //chromevet:allow aliasshare -- ownership transfer: callers build one tracker per system
+// The LLC keeps t, so each system needs a tracker of its own.
+func (s *System) SetEvictionTracker(t *cache.ReuseTracker) {
 	s.llc.SetEvictionTracker(t)
 }
 
 // SetBypassTracker installs a Fig. 9 bypass-efficiency tracker on the LLC.
-func (s *System) SetBypassTracker(t *cache.ReuseTracker) { //chromevet:allow aliasshare -- ownership transfer: callers build one tracker per system
+// The LLC keeps t, so each system needs a tracker of its own.
+func (s *System) SetBypassTracker(t *cache.ReuseTracker) {
 	s.llc.SetBypassTracker(t)
 }
 

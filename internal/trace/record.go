@@ -134,7 +134,7 @@ func RecordStream(gen Generator, budget mem.Instr) *Recording {
 	if sized > 1<<30 {
 		sized = 1 << 30
 	}
-	est := int(sized) + 8 //chromevet:allow narrowing -- clamped to 2^30 above
+	est := int(sized) + 8
 	rec := &Recording{
 		name:  gen.Name(),
 		pcs:   make([]uint64, 0, est),

@@ -52,14 +52,12 @@ var (
 // ensureRecordings builds the outer cache map, one entry per registered
 // profile, freezing the registry first so the map can never go stale.
 func ensureRecordings() {
-	//chromevet:allow globalmut -- sync.Once latch: at most one write, synchronized for all readers
 	recBuild.Do(func() {
 		freeze()
 		m := make(map[string]*profileRecordings, len(profiles))
 		for _, p := range profiles {
 			m[p.Name] = &profileRecordings{recs: map[recKey]*trace.Recording{}}
 		}
-		//chromevet:allow globalmut -- write-once under sync.Once, frozen alongside the registry latch
 		recordings = m
 	})
 }
@@ -68,7 +66,6 @@ func ensureRecordings() {
 // from ("" disables persistence). Call it before experiments start; it does
 // not invalidate recordings already cached in-process.
 func SetTraceDir(dir string) {
-	//chromevet:allow globalmut -- CLI configuration applied once at startup, atomic pointer swap
 	traceDir.Store(&dir)
 }
 
@@ -103,10 +100,10 @@ func Recorded(p Profile, budget mem.Instr) *trace.Recording {
 	if rec, ok := pr.recs[key]; ok {
 		return rec
 	}
-	//chromevet:allow walltime -- measuring our own generation cost for reporting, never simulated behavior
+	// Wall-clock cost of producing the stream, for the CLI's report only:
+	// no simulated behaviour reads it.
 	start := time.Now()
 	rec := loadOrRecord(p, budget)
-	//chromevet:allow globalmut,walltime -- atomic wall-clock accounting for the CLI's gen-vs-sim split
 	genNanos.Add(int64(time.Since(start)))
 	pr.recs[key] = rec
 	return rec

@@ -67,14 +67,12 @@ var (
 	// frozen latches once any lookup runs. The registry is write-once at
 	// init time: after the first read it must never change, because the
 	// parallel experiments runner reads it from many goroutines without
-	// locks (the chromevet globalmut analyzer pins the rest of the package
-	// state; this latch turns a late register into a loud panic instead of
+	// locks (this latch turns a late register into a loud panic instead of
 	// a data race).
 	frozen atomic.Bool
 )
 
 func freeze() {
-	//chromevet:allow globalmut -- write-once latch; atomic, idempotent, and register rejects anything after it
 	frozen.Store(true)
 }
 
