@@ -6,7 +6,6 @@
 //
 //	chromesim -workload mcf -policy CHROME -cores 4
 //	chromesim -workload "mcf,gcc,milc,omnetpp" -policy CARE -cores 4
-//	chromesim -trace traces/mcf-*.chrec -cores 2   # replay a recording (traces record)
 //	chromesim -list-workloads
 package main
 
@@ -15,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"chrome/internal/cache"
@@ -30,18 +28,17 @@ import (
 
 func main() {
 	var (
-		wl        = flag.String("workload", "mcf", "workload name, or comma-separated list (one per core)")
-		traceFile = flag.String("trace", "", "replay a CHRC recording (.chrec, see traces record) on every core instead of a workload")
-		policy    = flag.String("policy", "CHROME", "LLC policy: LRU | Hawkeye | Glider | Mockingjay | CARE | SHiP++ | CHROME | N-CHROME")
-		cores     = flag.Int("cores", 4, "number of cores")
-		pfName    = flag.String("prefetch", "default", "prefetchers: default | stride-streamer | ipcp | none")
-		warmup    = flag.Uint64("warmup", 100_000, "warmup instructions per core")
-		measure   = flag.Uint64("measure", 500_000, "measured instructions per core")
-		baseline  = flag.Bool("baseline", true, "also run LRU and report weighted speedup")
-		listWl    = flag.Bool("list-workloads", false, "list available workloads")
-		jsonOut   = flag.Bool("json", false, "emit machine-readable JSON instead of text")
-		saveQT    = flag.String("save-qtable", "", "save the trained CHROME Q-table to this file after the run")
-		loadQT    = flag.String("load-qtable", "", "warm-start CHROME from a saved Q-table checkpoint")
+		wl       = flag.String("workload", "mcf", "workload name, or comma-separated list (one per core)")
+		policy   = flag.String("policy", "CHROME", "LLC policy: LRU | Hawkeye | Glider | Mockingjay | CARE | SHiP++ | CHROME | N-CHROME")
+		cores    = flag.Int("cores", 4, "number of cores")
+		pfName   = flag.String("prefetch", "default", "prefetchers: default | stride-streamer | ipcp | none")
+		warmup   = flag.Uint64("warmup", 100_000, "warmup instructions per core")
+		measure  = flag.Uint64("measure", 500_000, "measured instructions per core")
+		baseline = flag.Bool("baseline", true, "also run LRU and report weighted speedup")
+		listWl   = flag.Bool("list-workloads", false, "list available workloads")
+		jsonOut  = flag.Bool("json", false, "emit machine-readable JSON instead of text")
+		saveQT   = flag.String("save-qtable", "", "save the trained CHROME Q-table to this file after the run")
+		loadQT   = flag.String("load-qtable", "", "warm-start CHROME from a saved Q-table checkpoint")
 	)
 	flag.Parse()
 
@@ -91,31 +88,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	var rec *trace.Recording
-	if *traceFile != "" {
-		rec, err = readRecording(*traceFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		// A replayer never wraps, so a recording shorter than the run would
-		// exhaust mid-simulation; refuse it up front instead.
-		if need := *warmup + *measure; rec.Instructions() < need {
-			fmt.Fprintf(os.Stderr, "%s covers %d instructions per core, fewer than -warmup + -measure = %d; re-record it with: traces record -workloads %s -budget %d\n",
-				*traceFile, rec.Instructions(), need, rec.Name(), need)
-			os.Exit(2)
-		}
-		*wl = filepath.Base(*traceFile)
-	}
-
 	build := func() ([]trace.Generator, error) {
-		if rec != nil {
-			gens := make([]trace.Generator, *cores)
-			for i := range gens {
-				gens[i] = rec.Replayer(mem.AddrOf(uint64(i)) << 36)
-			}
-			return gens, nil
-		}
 		names := strings.Split(*wl, ",")
 		if len(names) == 1 {
 			p, err := workload.ByName(names[0])
@@ -255,17 +228,4 @@ func pfByName(name string) (experiments.PrefetchConfig, error) {
 		return experiments.PFNone(), nil
 	}
 	return experiments.PrefetchConfig{}, fmt.Errorf("unknown prefetch config %q", name)
-}
-
-func readRecording(path string) (*trace.Recording, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	rec, err := trace.ReadRecording(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return rec, nil
 }

@@ -36,18 +36,17 @@ import (
 
 func main() {
 	var (
-		list     = flag.Bool("list", false, "list available experiment runners")
-		runID    = flag.String("run", "", "run specific experiments by id, comma-separated (default: all)")
-		scale    = flag.String("scale", "quick", "simulation scale: quick | full")
-		qualify  = flag.Bool("qualify", false, "print per-workload baseline MPKI (selection criterion)")
-		outdir   = flag.String("outdir", "", "also write each report as CSV into this directory")
-		mdOut    = flag.String("md", "", "also write all reports as a markdown results document")
-		jobs     = flag.Int("j", runtime.NumCPU(), "worker pool size for independent simulation cells (1 = sequential)")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
-		memProf  = flag.String("memprofile", "", "write an allocation profile to this file at exit")
-		traceDir = flag.String("tracedir", "", "persist recordings to this directory and reuse them across runs")
-		warmup   = flag.Uint64("warmup", 0, "override the scale's per-core warmup instruction budget (0 = scale default)")
-		measure  = flag.Uint64("measure", 0, "override the scale's per-core measured instruction budget (0 = scale default)")
+		list    = flag.Bool("list", false, "list available experiment runners")
+		runID   = flag.String("run", "", "run specific experiments by id, comma-separated (default: all)")
+		scale   = flag.String("scale", "quick", "simulation scale: quick | full")
+		qualify = flag.Bool("qualify", false, "print per-workload baseline MPKI (selection criterion)")
+		outdir  = flag.String("outdir", "", "also write each report as CSV into this directory")
+		mdOut   = flag.String("md", "", "also write all reports as a markdown results document")
+		jobs    = flag.Int("j", runtime.NumCPU(), "worker pool size for independent simulation cells (1 = sequential)")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
+		memProf = flag.String("memprofile", "", "write an allocation profile to this file at exit")
+		warmup  = flag.Uint64("warmup", 0, "override the scale's per-core warmup instruction budget (0 = scale default)")
+		measure = flag.Uint64("measure", 0, "override the scale's per-core measured instruction budget (0 = scale default)")
 	)
 	flag.Parse()
 	if *jobs < 1 {
@@ -109,13 +108,6 @@ func main() {
 		sc.Measure = mem.InstrOf(*measure)
 	}
 	sc.Parallelism = *jobs
-	if *traceDir != "" {
-		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "tracedir:", err)
-			os.Exit(1)
-		}
-		workload.SetTraceDir(*traceDir)
-	}
 
 	if *qualify {
 		mpki := experiments.QualifyWorkloads(sc)

@@ -17,7 +17,7 @@ func testConfig() Config {
 	return cfg
 }
 
-func newTestAgent(t *testing.T, cfg Config, sets, ways int) (*Agent, *cache.Cache) {
+func newTestAgent(t testing.TB, cfg Config, sets, ways int) (*Agent, *cache.Cache) {
 	t.Helper()
 	a := New(cfg, sets, ways)
 	c := cache.New(cache.Config{Name: "LLC", Sets: sets, Ways: ways}, a)

@@ -9,7 +9,7 @@ import (
 	"chrome/internal/mem"
 )
 
-func trainAgent(t *testing.T, cfg Config, n int) *Agent {
+func trainAgent(t testing.TB, cfg Config, n int) *Agent {
 	t.Helper()
 	a, c := newTestAgent(t, cfg, 16, 2)
 	for i := 0; i < n; i++ {
@@ -91,4 +91,42 @@ func TestCheckpointRejectsGarbage(t *testing.T) {
 			t.Fatalf("data %q: err = %v, want ErrBadCheckpoint", data, err)
 		}
 	}
+}
+
+// FuzzLoadCheckpoint checks the CHQT reader's contract on arbitrary bytes,
+// the one on-disk input the program reads: a malformed input yields an
+// error wrapping ErrBadCheckpoint, never a panic or a bare error, and an
+// accepted input saves back as exactly the bytes the reader consumed (a
+// prefix of the input: the reader stops after the last partial). The table
+// is shrunk to 2 sub-tables of 8 entries, so a whole valid checkpoint is a
+// few hundred bytes and mutations reach the accept path.
+func FuzzLoadCheckpoint(f *testing.F) {
+	cfg := testConfig()
+	cfg.SubTables = 2
+	cfg.SubTableBits = 3
+	var buf bytes.Buffer
+	if err := trainAgent(f, cfg, 2000).SaveCheckpoint(&buf); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add([]byte("CHQT"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a := New(cfg, 16, 2)
+		if err := a.LoadCheckpoint(bytes.NewReader(data)); err != nil {
+			if !errors.Is(err, ErrBadCheckpoint) {
+				t.Fatalf("LoadCheckpoint error does not wrap ErrBadCheckpoint: %v", err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		if err := a.SaveCheckpoint(&out); err != nil {
+			t.Fatalf("saving an accepted checkpoint: %v", err)
+		}
+		if !bytes.HasPrefix(data, out.Bytes()) {
+			t.Fatalf("accepted %d input bytes, but the %d saved bytes are not a prefix of them", len(data), out.Len())
+		}
+	})
 }

@@ -285,12 +285,6 @@ func (r Report) String() string {
 	return s
 }
 
-// RunMixPublic exposes runMix for tools and examples: simulate one mix
-// under one scheme at the given scale.
-func RunMixPublic(gens []trace.Generator, cores int, scheme Scheme, pf PrefetchConfig, sc Scale) sim.Result {
-	return runMix(gens, cores, scheme, pf, sc)
-}
-
 // runMix simulates one mix under one scheme and returns the result.
 func runMix(gens []trace.Generator, cores int, scheme Scheme, pf PrefetchConfig, sc Scale) sim.Result {
 	res := sc.newMixSystem(gens, cores, scheme, pf).Run(sc.Warmup, sc.Measure)

@@ -6,7 +6,6 @@ import (
 
 	"chrome/internal/cache"
 	"chrome/internal/metrics"
-	"chrome/internal/sim"
 	"chrome/internal/workload"
 )
 
@@ -113,10 +112,7 @@ func Fig9(sc Scale) []Report {
 	tab := metrics.NewTable("workload", "MJ-coverage", "MJ-efficiency", "CHROME-coverage", "CHROME-efficiency")
 	type cell struct{ coverage, efficiency float64 }
 	grid := parGrid(sc, len(profiles), len(schemes), func(pi, si int) cell {
-		cfg := sim.ScaledConfig(4)
-		cfg.L1Prefetcher = pf.L1
-		cfg.L2Prefetcher = pf.L2
-		sys := sim.New(cfg, sc.homoGens(profiles[pi], 4), schemes[si].Factory)
+		sys := sc.newMixSystem(sc.homoGens(profiles[pi], 4), 4, schemes[si], pf)
 		tracker := cache.NewReuseTracker(0)
 		sys.SetBypassTracker(tracker)
 		res := sys.Run(sc.Warmup, sc.Measure)

@@ -121,10 +121,7 @@ func Fig2(sc Scale) []Report {
 		ok                     bool
 	}
 	cells := parMap(sc, len(profiles), func(i int) cell {
-		cfg := sim.ScaledConfig(4)
-		cfg.L1Prefetcher = pf.L1
-		cfg.L2Prefetcher = pf.L2
-		sys := sim.New(cfg, sc.homoGens(profiles[i], 4), GliderScheme().Factory)
+		sys := sc.newMixSystem(sc.homoGens(profiles[i], 4), 4, GliderScheme(), pf)
 		tracker := cache.NewReuseTracker(0)
 		sys.SetEvictionTracker(tracker)
 		res := sys.Run(sc.Warmup, sc.Measure)

@@ -34,9 +34,9 @@ func Fig11(sc Scale) []Report {
 	// mix totals so the sweep stays tractable at full scale (Fig. 10 is the
 	// dedicated, larger heterogeneous study).
 	heteroCounts := map[int]int{
-		4:  minInt(sc.HeteroMixes4, 8),
-		8:  minInt(sc.HeteroMixes8, 3),
-		16: minInt(sc.HeteroMixes16, 2),
+		4:  min(sc.HeteroMixes4, 8),
+		8:  min(sc.HeteroMixes8, 3),
+		16: min(sc.HeteroMixes16, 2),
 	}
 	hsc := heteroScale(sc)
 	for _, cores := range []int{4, 8, 16} {
@@ -177,11 +177,4 @@ func Fig13(sc Scale) []Report {
 		},
 	}
 	return []Report{rep}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

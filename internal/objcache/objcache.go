@@ -51,11 +51,6 @@ type Config struct {
 	// Seed derives the per-shard agent seeds and the key-hash mixing;
 	// equal seeds and equal request streams give byte-identical behavior.
 	Seed uint64
-	// Chrome overrides the agent configuration for the "chrome" policy;
-	// nil uses the service default (simulator defaults, concurrency
-	// feedback off — there is no obstruction monitor outside the
-	// simulator).
-	Chrome *ChromeOverride
 }
 
 // withDefaults validates cfg and fills zero fields.

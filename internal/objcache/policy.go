@@ -5,11 +5,6 @@ import (
 	"chrome/internal/mem"
 )
 
-// ChromeOverride is the agent configuration accepted by Config.Chrome; an
-// alias so callers tune the real chrome.Config without objcache wrapping
-// every knob.
-type ChromeOverride = chrome.Config
-
 // agentSets/agentWays is the Q-geometry of each shard's agent: the set
 // count folds the key-hash space onto the sampler and must be a power of
 // two (Agent.Step masks with sets-1); the way count only scales the
@@ -60,9 +55,6 @@ func newPolicy(cfg Config, shard int) Policy {
 		// address mapping (every object is its own page); the PC signature
 		// (size class × hit/miss) is the signal that generalizes.
 		ccfg.StateFeatures = []chrome.FeatureKind{chrome.FeatPCSignature}
-		if cfg.Chrome != nil {
-			ccfg = *cfg.Chrome
-		}
 		// Decorrelate the per-shard exploration streams while keeping the
 		// whole cache a pure function of (Config, request stream).
 		ccfg.Seed = mem.Mix64(cfg.Seed ^ (uint64(shard)+1)*0x9E3779B97F4A7C15)

@@ -57,9 +57,6 @@ type Config struct {
 	// PrefetchQueueMax bounds prefetch issues per demand access.
 	PrefetchQueueMax int
 
-	// CAMATEpoch is the C-AMAT measurement period (0 = paper's 100K).
-	CAMATEpoch mem.Cycle
-
 	// Deprecated: NoMono does nothing. The simulator has one cache chain;
 	// the field is kept only because bench/mix.go sets it.
 	NoMono bool
@@ -140,7 +137,7 @@ func New(cfg Config, gens []trace.Generator, factory PolicyFactory) *System {
 		panic(fmt.Sprintf("sim: %d generators for %d cores", len(gens), cfg.Cores))
 	}
 	s := &System{cfg: cfg, dram: NewDRAM(cfg.DRAM)}
-	s.mon = camat.New(cfg.Cores, s.dram.AvgLatency(), cfg.CAMATEpoch)
+	s.mon = camat.New(cfg.Cores, s.dram.AvgLatency(), camat.DefaultEpochCycles)
 	pol := factory(cfg.LLCSets, cfg.LLCWays, cfg.Cores, s.mon.Obstructed)
 	s.llc = cache.New(cache.Config{Name: "LLC", Sets: cfg.LLCSets, Ways: cfg.LLCWays}, pol)
 	s.llcm = newMSHR(cfg.LLCMSHRs * cfg.Cores)

@@ -98,27 +98,6 @@ func (r *Recording) At(i int) Record {
 	}
 }
 
-// Checksum returns the FNV-1a digest of the recording's columns (the
-// on-disk format stores it so a corrupted or stale file is rejected on
-// load rather than silently perturbing results).
-func (r *Recording) Checksum() uint64 {
-	h := uint64(14695981039346656037)
-	mix := func(v uint64, bytes int) {
-		for b := 0; b < bytes; b++ {
-			h ^= v & 0xff
-			h *= 1099511628211
-			v >>= 8
-		}
-	}
-	for i := range r.pcs {
-		mix(r.pcs[i], 8)
-		mix(r.addrs[i], 8)
-		mix(uint64(r.kinds[i]), 1)
-		mix(uint64(r.gaps[i]), 1)
-	}
-	return h
-}
-
 // RecordStream runs gen until the stream covers at least budget retired
 // instructions and returns the frozen recording. The stopping point is a
 // pure function of the stream itself — the core model retires exactly

@@ -1,11 +1,8 @@
 package trace
 
 import (
-	"bytes"
-	"errors"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"chrome/internal/mem"
 )
@@ -149,111 +146,4 @@ func TestRecordingFreezeDiscipline(t *testing.T) {
 		}()
 		RecordStream(recordFamilies(1)["stream"](), 0)
 	})
-}
-
-func TestRecordingRoundTrip(t *testing.T) {
-	rec := RecordStream(recordFamilies(11)["pointerchase"](), 20_000)
-	var buf bytes.Buffer
-	if err := WriteRecording(&buf, rec); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadRecording(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name() != rec.Name() || got.Len() != rec.Len() || got.Instructions() != rec.Instructions() {
-		t.Fatalf("round trip header mismatch: %q/%d/%d vs %q/%d/%d",
-			got.Name(), got.Len(), got.Instructions(), rec.Name(), rec.Len(), rec.Instructions())
-	}
-	if got.Checksum() != rec.Checksum() {
-		t.Fatal("round trip checksum mismatch")
-	}
-	for i := 0; i < rec.Len(); i++ {
-		if got.At(i) != rec.At(i) {
-			t.Fatalf("round trip record %d mismatch", i)
-		}
-	}
-	if !got.Frozen() {
-		t.Fatal("loaded recording must be frozen")
-	}
-}
-
-// TestRecordingRoundTripProperty round-trips arbitrary record columns
-// through the CHRC format: every PC, address, flag pair and gap in
-// [0, 255] (including the two-byte gap deltas) survives a write and read,
-// and so does a recording with no records.
-func TestRecordingRoundTripProperty(t *testing.T) {
-	f := func(pcs []uint64, flags []uint8) bool {
-		rec := &Recording{name: "prop"}
-		for i, pc := range pcs {
-			var fl uint8
-			if i < len(flags) {
-				fl = flags[i]
-			}
-			rec.add(Record{
-				PC:        mem.PCOf(pc),
-				Addr:      mem.Addr(pc * 3),
-				Write:     fl&1 != 0,
-				Dependent: fl&2 != 0,
-				Gap:       fl ^ uint8(pc),
-			})
-		}
-		rec.Freeze()
-		var buf bytes.Buffer
-		if err := WriteRecording(&buf, rec); err != nil {
-			return false
-		}
-		got, err := ReadRecording(&buf)
-		if err != nil || got.Len() != rec.Len() || got.Instructions() != rec.Instructions() {
-			return false
-		}
-		for i := 0; i < rec.Len(); i++ {
-			if got.At(i) != rec.At(i) {
-				return false
-			}
-		}
-		return true
-	}
-	if !f(nil, nil) {
-		t.Error("empty recording did not round-trip")
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestReadRecordingRejectsCorruption(t *testing.T) {
-	rec := RecordStream(recordFamilies(5)["stream"](), 5_000)
-	var buf bytes.Buffer
-	if err := WriteRecording(&buf, rec); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-
-	cases := map[string]func([]byte) []byte{
-		"flipped column byte": func(b []byte) []byte {
-			c := append([]byte(nil), b...)
-			c[len(c)-1] ^= 0xff // last gap byte
-			return c
-		},
-		"truncated": func(b []byte) []byte { return b[:len(b)/2] },
-		"bad magic": func(b []byte) []byte {
-			c := append([]byte(nil), b...)
-			c[0] = 'X'
-			return c
-		},
-		"bad version": func(b []byte) []byte {
-			c := append([]byte(nil), b...)
-			c[4] = 99
-			return c
-		},
-	}
-	for name, corrupt := range cases {
-		t.Run(name, func(t *testing.T) {
-			_, err := ReadRecording(bytes.NewReader(corrupt(good)))
-			if !errors.Is(err, ErrBadTrace) {
-				t.Fatalf("want ErrBadTrace, got %v", err)
-			}
-		})
-	}
 }

@@ -1,9 +1,6 @@
 package workload
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,9 +11,10 @@ import (
 
 // Recording cache: each (profile, seed, budget) is recorded exactly once per
 // process and the frozen trace.Recording is shared — across the K schemes of
-// a cell row, across parallel cells (read-only: a frozen recording panics
-// on any mutation), and, when a trace directory is set, across process
-// runs via the CHRC on-disk format.
+// a cell row and across parallel cells (read-only: a frozen recording panics
+// on any mutation). Recordings are only ever generated in-process: a stream
+// is a pure function of (profile, seed, budget), and generating it takes
+// well under 1% of a runner's wall-clock (DESIGN.md §8).
 //
 // The cache follows the registry's freeze discipline: the outer
 // per-profile map is built exactly once, after the registry latch flips, so
@@ -41,11 +39,8 @@ type profileRecordings struct {
 var (
 	recordings map[string]*profileRecordings
 	recBuild   sync.Once
-	// traceDir, when non-empty, is the directory recordings are persisted
-	// to and loaded from across process runs.
-	traceDir atomic.Pointer[string]
-	// genNanos accumulates wall time spent generating (or loading) streams,
-	// so cmd/experiments can report the generation-vs-simulation split.
+	// genNanos accumulates wall time spent generating streams, so
+	// cmd/experiments can report the generation-vs-simulation split.
 	genNanos atomic.Int64
 )
 
@@ -62,32 +57,16 @@ func ensureRecordings() {
 	})
 }
 
-// SetTraceDir sets the directory recordings are persisted to and reused
-// from ("" disables persistence). Call it before experiments start; it does
-// not invalidate recordings already cached in-process.
-func SetTraceDir(dir string) {
-	traceDir.Store(&dir)
-}
-
 // GenerationTime returns the cumulative wall time this process has spent
-// producing recordings (generating live streams, or loading them from the
-// trace directory).
+// recording live streams.
 func GenerationTime() time.Duration {
 	return time.Duration(genNanos.Load())
 }
 
-// RecordingFileName returns the file name a profile's recording at the
-// given budget persists under. The name embeds the stream seed, so a
-// profile rename or seed-scheme change can never silently reuse a stale
-// file (the checksum inside the file guards the contents).
-func RecordingFileName(p Profile, budget mem.Instr) string {
-	return fmt.Sprintf("%s-%016x-%d.chrec", p.Name, p.seed(), budget.Uint64())
-}
-
 // Recorded returns the frozen recording of p's stream covering at least
-// budget instructions, recording (or loading) it on first use. The result
-// is immutable and safe to share across goroutines. Unknown profiles after
-// the registry froze panic, like a late register.
+// budget instructions, recording it on first use. The result is immutable
+// and safe to share across goroutines. Unknown profiles after the registry
+// froze panic, like a late register.
 func Recorded(p Profile, budget mem.Instr) *trace.Recording {
 	ensureRecordings()
 	pr, ok := recordings[p.Name]
@@ -103,60 +82,10 @@ func Recorded(p Profile, budget mem.Instr) *trace.Recording {
 	// Wall-clock cost of producing the stream, for the CLI's report only:
 	// no simulated behaviour reads it.
 	start := time.Now()
-	rec := loadOrRecord(p, budget)
+	rec := trace.RecordStream(p.build(profileRegion(p.Name), p.seed()), budget)
 	genNanos.Add(int64(time.Since(start)))
 	pr.recs[key] = rec
 	return rec
-}
-
-// loadOrRecord fetches the recording from the trace directory when one is
-// configured and holds a valid file, falling back to recording the live
-// generator (and then persisting the result, best-effort).
-func loadOrRecord(p Profile, budget mem.Instr) *trace.Recording {
-	dir := ""
-	if d := traceDir.Load(); d != nil {
-		dir = *d
-	}
-	path := ""
-	if dir != "" {
-		path = filepath.Join(dir, RecordingFileName(p, budget))
-		if f, err := os.Open(path); err == nil {
-			rec, rerr := trace.ReadRecording(f)
-			f.Close()
-			if rerr == nil {
-				return rec
-			}
-			fmt.Fprintf(os.Stderr, "workload: ignoring %s: %v\n", path, rerr)
-		}
-	}
-	rec := trace.RecordStream(p.build(profileRegion(p.Name), p.seed()), budget)
-	if path != "" {
-		if err := writeRecordingFile(path, rec); err != nil {
-			fmt.Fprintf(os.Stderr, "workload: could not persist %s: %v\n", path, err)
-		}
-	}
-	return rec
-}
-
-// writeRecordingFile persists a recording atomically enough for reuse: a
-// partial write is left as a temp file, never a truncated .chrec (and the
-// checksum inside the format catches anything that slips through).
-func writeRecordingFile(path string, rec *trace.Recording) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteRecording(f, rec); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // NewReplay returns a zero-allocation replay of the profile's stream for

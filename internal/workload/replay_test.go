@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -64,7 +62,8 @@ func TestNewReplayMatchesNew(t *testing.T) {
 // TestRecordedCacheSharesOneRecording makes the first Recorded call for its
 // (profile, budget) from 8 goroutines at once, at a budget no other test
 // records: all of them must get one recording, and under -race a cache
-// lookup outside the per-profile lock is a reported race.
+// lookup outside the per-profile lock is a reported race. The recording's
+// wall time must show up in GenerationTime.
 func TestRecordedCacheSharesOneRecording(t *testing.T) {
 	p, err := ByName("gcc")
 	if err != nil {
@@ -92,6 +91,9 @@ func TestRecordedCacheSharesOneRecording(t *testing.T) {
 	}
 	if c := Recorded(p, 20_000); c == a {
 		t.Fatal("distinct budgets must not share a recording")
+	}
+	if GenerationTime() <= 0 {
+		t.Fatal("generation time must be accounted")
 	}
 	gens := HomogeneousReplayMix(p, 4, budget)
 	if len(gens) != 4 {
@@ -143,44 +145,4 @@ func TestRecordedUnknownProfilePanics(t *testing.T) {
 	Recorded(Profile{Name: "no-such-profile", build: func(region, seed uint64) trace.Generator {
 		return trace.NewStream(trace.StreamConfig{Name: "x", Size: 1 << 20, Seed: seed})
 	}}, 1_000)
-}
-
-func TestTraceDirRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	SetTraceDir(dir)
-	defer SetTraceDir("")
-	p, err := ByName("omnetpp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const budget = 7_000
-	rec := Recorded(p, budget)
-	path := filepath.Join(dir, RecordingFileName(p, budget))
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatalf("recording was not persisted: %v", err)
-	}
-	loaded, err := trace.ReadRecording(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Checksum() != rec.Checksum() || loaded.Len() != rec.Len() {
-		t.Fatal("persisted recording does not match the in-process one")
-	}
-
-	// A corrupt file must be ignored with a live-recording fallback, not
-	// poison the run. Use a distinct budget so the in-process cache misses.
-	const budget2 = 8_000
-	bad := filepath.Join(dir, RecordingFileName(p, budget2))
-	if err := os.WriteFile(bad, []byte("CHRCgarbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rec2 := Recorded(p, budget2)
-	if rec2.Instructions() < budget2 {
-		t.Fatalf("fallback recording covers %d instructions, want >= %d", rec2.Instructions(), budget2)
-	}
-	if GenerationTime() <= 0 {
-		t.Fatal("generation time must be accounted")
-	}
 }
