@@ -3,6 +3,7 @@ package trace
 import (
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"chrome/internal/mem"
 )
@@ -146,4 +147,89 @@ func TestRecordingFreezeDiscipline(t *testing.T) {
 		}()
 		RecordStream(recordFamilies(1)["stream"](), 0)
 	})
+}
+
+// TestRecordingRoundTrip re-records a recording's own replay at the same
+// budget. RecordStream's stopping point depends only on the stream and the
+// budget, so the copy must match the original in name, length, coverage
+// and every record, read no record past the original's end, and come back
+// frozen.
+func TestRecordingRoundTrip(t *testing.T) {
+	const budget = 20_000
+	rec := RecordStream(recordFamilies(11)["pointerchase"](), budget)
+	got := RecordStream(rec.Replayer(0), budget)
+	if got.Name() != rec.Name() || got.Len() != rec.Len() || got.Instructions() != rec.Instructions() {
+		t.Fatalf("round trip header mismatch: %q/%d/%d vs %q/%d/%d",
+			got.Name(), got.Len(), got.Instructions(), rec.Name(), rec.Len(), rec.Instructions())
+	}
+	for i := 0; i < rec.Len(); i++ {
+		if got.At(i) != rec.At(i) {
+			t.Fatalf("round trip record %d mismatch", i)
+		}
+	}
+	if !got.Frozen() {
+		t.Fatal("re-recorded recording must be frozen")
+	}
+}
+
+// TestRecordingRoundTripProperty round-trips arbitrary record columns
+// through a Recording: every PC, address, flag pair and gap in [0, 255]
+// that add stores comes back unchanged from At, from a Replayer (shifted
+// by its offset) and from re-recording that replay at the recording's
+// instruction count. A recording with no records covers no instructions.
+func TestRecordingRoundTripProperty(t *testing.T) {
+	f := func(pcs []uint64, flags []uint8, offset uint64) bool {
+		rec := &Recording{name: "prop"}
+		want := make([]Record, len(pcs))
+		var instrs uint64
+		for i, pc := range pcs {
+			var fl uint8
+			if i < len(flags) {
+				fl = flags[i]
+			}
+			want[i] = Record{
+				PC:        mem.PCOf(pc),
+				Addr:      mem.AddrOf(pc * 3),
+				Write:     fl&1 != 0,
+				Dependent: fl&2 != 0,
+				Gap:       fl ^ uint8(pc),
+			}
+			rec.add(want[i])
+			instrs += uint64(want[i].Gap) + 1
+		}
+		rec.Freeze()
+		if rec.Len() != len(want) || rec.Instructions() != instrs {
+			return false
+		}
+		off := mem.AddrOf(offset)
+		rep := rec.Replayer(off)
+		for i, w := range want {
+			if rec.At(i) != w {
+				return false
+			}
+			w.Addr += off
+			if rep.Next() != w {
+				return false
+			}
+		}
+		if len(want) == 0 {
+			return true
+		}
+		got := RecordStream(rec.Replayer(0), mem.Instr(instrs))
+		if got.Len() != len(want) || got.Instructions() != instrs {
+			return false
+		}
+		for i, w := range want {
+			if got.At(i) != w {
+				return false
+			}
+		}
+		return true
+	}
+	if !f(nil, nil, 0) {
+		t.Error("empty recording did not round-trip")
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
 }

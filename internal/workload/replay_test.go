@@ -146,3 +146,42 @@ func TestRecordedUnknownProfilePanics(t *testing.T) {
 		return trace.NewStream(trace.StreamConfig{Name: "x", Size: 1 << 20, Seed: seed})
 	}}, 1_000)
 }
+
+// TestTraceDirRoundTrip checks the property that lets recordings live only
+// in the process that uses them, with no trace directory to persist them
+// in: a recording is a pure function of (profile, seed, budget).
+// Re-recording a cached recording's core-0 replay at its budget reproduces
+// it record for record, and the recording at a larger budget is a
+// distinct cache entry that extends it.
+func TestTraceDirRoundTrip(t *testing.T) {
+	p, err := ByName("omnetpp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 7_000
+	rec := Recorded(p, budget)
+	again := trace.RecordStream(p.NewReplay(0, budget), budget)
+	if again.Name() != rec.Name() || again.Len() != rec.Len() || again.Instructions() != rec.Instructions() {
+		t.Fatalf("re-recorded %q/%d/%d, cached %q/%d/%d",
+			again.Name(), again.Len(), again.Instructions(), rec.Name(), rec.Len(), rec.Instructions())
+	}
+	for i := 0; i < rec.Len(); i++ {
+		if again.At(i) != rec.At(i) {
+			t.Fatalf("record %d: re-recorded %+v, cached %+v", i, again.At(i), rec.At(i))
+		}
+	}
+
+	const budget2 = 8_000
+	longer := Recorded(p, budget2)
+	if longer == rec {
+		t.Fatal("distinct budgets must not share a recording")
+	}
+	if longer.Instructions() < budget2 {
+		t.Fatalf("recording covers %d instructions, want >= %d", longer.Instructions(), budget2)
+	}
+	for i := 0; i < rec.Len(); i++ {
+		if longer.At(i) != rec.At(i) {
+			t.Fatalf("record %d: budget %d gives %+v, budget %d gives %+v", i, budget2, longer.At(i), budget, rec.At(i))
+		}
+	}
+}
