@@ -29,8 +29,8 @@ import (
 func main() {
 	var (
 		wl       = flag.String("workload", "mcf", "workload name, or comma-separated list (one per core)")
-		policy   = flag.String("policy", "CHROME", "LLC policy: LRU | Hawkeye | Glider | Mockingjay | CARE | SHiP++ | CHROME | N-CHROME")
-		cores    = flag.Int("cores", 4, "number of cores")
+		policy   = flag.String("policy", "CHROME", "LLC policy, case-insensitive: "+strings.Join(schemeNames(), " | "))
+		cores    = flag.Int("cores", 4, "number of cores, a power of two")
 		pfName   = flag.String("prefetch", "default", "prefetchers: default | stride-streamer | ipcp | none")
 		warmup   = flag.Uint64("warmup", 100_000, "warmup instructions per core")
 		measure  = flag.Uint64("measure", 500_000, "measured instructions per core")
@@ -49,6 +49,10 @@ func main() {
 		return
 	}
 
+	if *cores <= 0 || *cores&(*cores-1) != 0 {
+		fmt.Fprintf(os.Stderr, "-cores must be a positive power of two, got %d\n", *cores)
+		os.Exit(2)
+	}
 	scheme, err := schemeByName(*policy)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -194,24 +198,26 @@ func main() {
 	}
 }
 
+// schemes lists the policies -policy accepts: every registered scheme and
+// the N-CHROME ablation.
+func schemes() []experiments.Scheme {
+	return append(experiments.AllSchemes(), experiments.CHROMEScheme(experiments.NChromeConfig()))
+}
+
+func schemeNames() []string {
+	var names []string
+	for _, s := range schemes() {
+		names = append(names, s.Name)
+	}
+	return names
+}
+
+// schemeByName resolves a -policy value, ignoring case.
 func schemeByName(name string) (experiments.Scheme, error) {
-	switch strings.ToUpper(name) {
-	case "LRU":
-		return experiments.LRUScheme(), nil
-	case "HAWKEYE":
-		return experiments.HawkeyeScheme(), nil
-	case "GLIDER":
-		return experiments.GliderScheme(), nil
-	case "MOCKINGJAY":
-		return experiments.MockingjayScheme(), nil
-	case "CARE":
-		return experiments.CAREScheme(), nil
-	case "SHIP++":
-		return experiments.SHiPPPScheme(), nil
-	case "CHROME":
-		return experiments.CHROMEScheme(experiments.ChromeConfig()), nil
-	case "N-CHROME":
-		return experiments.CHROMEScheme(experiments.NChromeConfig()), nil
+	for _, s := range schemes() {
+		if strings.EqualFold(s.Name, name) {
+			return s, nil
+		}
 	}
 	return experiments.Scheme{}, fmt.Errorf("unknown policy %q", name)
 }

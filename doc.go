@@ -21,8 +21,7 @@
 //   - examples/...:     runnable scenarios using the public APIs
 //
 // cmd/experiments regenerates every table and figure of the paper's
-// evaluation section. bench_test.go holds one benchmark per paper artifact
-// at a reduced scale plus ablation and micro-benchmarks; see DESIGN.md for
-// the experiment index and EXPERIMENTS.md for recorded paper-vs-measured
-// results.
+// evaluation section, and the bench module (bench/run.sh) measures the
+// simulator's performance; see DESIGN.md for the experiment index and
+// EXPERIMENTS.md for recorded paper-vs-measured results.
 package chrome

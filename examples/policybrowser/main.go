@@ -30,18 +30,8 @@ func main() {
 
 	const cores = 4
 	pf := experiments.PFDefault()
-	schemes := []experiments.Scheme{
-		experiments.LRUScheme(),
-		experiments.HawkeyeScheme(),
-		experiments.GliderScheme(),
-		experiments.MockingjayScheme(),
-		experiments.CAREScheme(),
-		experiments.SHiPPPScheme(),
-		experiments.PACManScheme(),
-		experiments.DRRIPScheme(),
-		experiments.CHROMEScheme(experiments.NChromeConfig()),
-		experiments.CHROMEScheme(experiments.ChromeConfig()),
-	}
+	// AllSchemes lists LRU first, so schemes[0] is the baseline.
+	schemes := append(experiments.AllSchemes(), experiments.CHROMEScheme(experiments.NChromeConfig()))
 
 	run := func(s experiments.Scheme) sim.Result {
 		cfg := sim.ScaledConfig(cores)

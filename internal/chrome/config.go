@@ -8,17 +8,6 @@
 // (C-AMAT LLC-obstruction status).
 package chrome
 
-// QCompose selects how per-feature Q-values combine into the state-action
-// Q-value. The paper specifies max; sum is provided for the ablation bench.
-type QCompose uint8
-
-const (
-	// ComposeMax takes the maximum feature-action Q-value (paper §V-C).
-	ComposeMax QCompose = iota
-	// ComposeSum sums the feature-action Q-values (Pythia-style ablation).
-	ComposeSum
-)
-
 // Rewards holds the reward values of Table II. AC rewards apply when the
 // action's block was re-requested and present (accurate caching); IN when
 // re-requested but absent (inaccurate); the NR variants apply when the
@@ -72,8 +61,6 @@ type Config struct {
 	// vector, 1..MaxStateFeatures entries (the paper's PC+PN default, the
 	// Fig. 15 ablation and the extended feature-selection study).
 	StateFeatures []FeatureKind
-	// Compose selects the per-feature Q combination rule.
-	Compose QCompose
 	// ConcurrencyAware enables the C-AMAT OB/NOB reward differentiation;
 	// disabling it yields the paper's N-CHROME ablation (§VII-C).
 	ConcurrencyAware bool
@@ -93,7 +80,6 @@ func DefaultConfig() Config {
 		EQDepth:          28,
 		SampledSets:      64,
 		StateFeatures:    []FeatureKind{FeatPCSignature, FeatPageNumber},
-		Compose:          ComposeMax,
 		ConcurrencyAware: true,
 		Seed:             1,
 	}
@@ -117,8 +103,8 @@ func (c Config) validate() {
 		panic("chrome: Gamma must be in [0,1)")
 	case c.Epsilon < 0 || c.Epsilon > 1:
 		panic("chrome: Epsilon must be in [0,1]")
-	case c.SubTables <= 0:
-		panic("chrome: SubTables must be positive")
+	case c.SubTables <= 0 || c.SubTables > maxSubTables:
+		panic("chrome: SubTables must be in [1, 16]")
 	case c.SubTableBits <= 0 || c.SubTableBits > 24:
 		panic("chrome: SubTableBits out of range")
 	case c.EQDepth <= 1:

@@ -85,10 +85,14 @@ func (s State) Len() int { return int(s.n) }
 // partials stored in sub-table entries (Q10.5: 5 fractional bits).
 const qScale = 32
 
+// maxSubTables bounds Config.SubTables so that Update can keep one feature's
+// sub-table slot indices in a fixed-size array.
+const maxSubTables = 16
+
 // QTable stores the Q-values of feature-action pairs in hashed sub-tables
 // (paper §V-C): per feature, SubTables sub-tables of 2^SubTableBits entries
 // × NumActions 16-bit partial values. Q(f,A) is the sum of the partials;
-// Q(S,A) combines the feature values with max (or sum, for the ablation).
+// Q(S,A) is the max over the features' Q(f,A).
 type QTable struct {
 	cfg Config
 	// partials[feature][subTable] is a flat [entries*NumActions]int16.
@@ -96,7 +100,6 @@ type QTable struct {
 	mask      uint64
 	n         int // state dimensionality
 	subTables int
-	compose   QCompose
 
 	// updates counts SARSA applications (for the UPKSA metric).
 	updates uint64
@@ -112,7 +115,6 @@ func NewQTable(cfg Config) *QTable {
 		mask:      (1 << cfg.SubTableBits) - 1,
 		n:         len(cfg.StateFeatures),
 		subTables: cfg.SubTables,
-		compose:   cfg.Compose,
 	}
 	entries := (1 << cfg.SubTableBits) * NumActions
 	optimistic := 1.0 / (1.0 - cfg.Gamma)
@@ -139,39 +141,14 @@ func (qt *QTable) index(sub int, feature uint64) uint64 {
 	return mem.Mix64(feature^(0x9E3779B97F4A7C15*uint64(sub+1))) & qt.mask
 }
 
-// featureQ returns Q(f_i, a) for feature index fi of the state.
-//
-//chromevet:hot
-func (qt *QTable) featureQ(fi int, s State, a Action) float64 {
-	var sum int32
-	for t := 0; t < qt.subTables; t++ {
-		idx := qt.index(t, s.f[fi])*NumActions + uint64(a)
-		sum += int32(qt.partials[fi][t][idx])
-	}
-	return float64(sum) / qScale
-}
-
 // Q returns the state-action value Q(S, A) (paper §V-C: the max across
 // features of the per-feature Q-values).
 //
 //chromevet:hot
 func (qt *QTable) Q(s State, a Action) float64 {
-	switch qt.compose {
-	case ComposeSum:
-		var total float64
-		for fi := 0; fi < qt.n; fi++ {
-			total += qt.featureQ(fi, s, a)
-		}
-		return total
-	default:
-		best := math.Inf(-1)
-		for fi := 0; fi < qt.n; fi++ {
-			if q := qt.featureQ(fi, s, a); q > best {
-				best = q
-			}
-		}
-		return best
-	}
+	var sums [MaxStateFeatures][NumActions]int32
+	qt.gatherRows(s, &sums)
+	return qt.composeQ(&sums, a)
 }
 
 // missActionOrder scans insertion actions before bypass so that exact ties
@@ -181,10 +158,8 @@ var missActionOrder = [NumActions]Action{ActionEPV0, ActionEPV1, ActionEPV2, Act
 
 // gatherRows sums, per (feature, action), the partials of every sub-table.
 // Each slot is hashed once and its four adjacent action partials are read
-// together, instead of re-hashing the slot once per action the way a
-// featureQ-per-action scan would: int32 addition is exact, so the sums —
-// and the Q-values derived from them — are bit-identical to the naive
-// per-action loops.
+// together; int32 addition is exact, so the sums, and the Q-values derived
+// from them, do not depend on the order the partials are read in.
 //
 //chromevet:hot
 func (qt *QTable) gatherRows(s State, sums *[MaxStateFeatures][NumActions]int32) {
@@ -202,27 +177,18 @@ func (qt *QTable) gatherRows(s State, sums *[MaxStateFeatures][NumActions]int32)
 	}
 }
 
-// composeQ combines one action's per-feature sums into Q(S, A), in the same
-// feature order and with the same float operations as Q over featureQ.
+// composeQ combines one action's per-feature sums into Q(S, A): the max
+// over the features.
 //
 //chromevet:hot
 func (qt *QTable) composeQ(sums *[MaxStateFeatures][NumActions]int32, a Action) float64 {
-	switch qt.compose {
-	case ComposeSum:
-		var total float64
-		for fi := 0; fi < qt.n; fi++ {
-			total += float64(sums[fi][a]) / qScale
+	best := math.Inf(-1)
+	for fi := 0; fi < qt.n; fi++ {
+		if q := float64(sums[fi][a]) / qScale; q > best {
+			best = q
 		}
-		return total
-	default:
-		best := math.Inf(-1)
-		for fi := 0; fi < qt.n; fi++ {
-			if q := float64(sums[fi][a]) / qScale; q > best {
-				best = q
-			}
-		}
-		return best
 	}
+	return best
 }
 
 // BestAction returns the argmax action for the state over the legal action
@@ -262,24 +228,16 @@ func (qt *QTable) BestAction(s State, hit bool) (Action, float64) {
 //chromevet:hot
 func (qt *QTable) Update(s State, a Action, target, rnd float64) {
 	qt.updates++
-	// The read pass (featureQ's sum) and the write pass hit the same
-	// sub-table slots; hashing each slot once and remembering the index
-	// halves the Mix64 work without changing a single table value.
-	nt := qt.cfg.SubTables
-	var idxBuf [16]uint64
-	hoist := nt <= len(idxBuf)
+	// The read pass and the write pass hit the same sub-table slots; hashing
+	// each slot once and remembering the index halves the Mix64 work.
+	nt := qt.subTables
+	var idxBuf [maxSubTables]uint64
 	for fi := 0; fi < qt.n; fi++ {
 		var sum int32
-		if hoist {
-			for t := 0; t < nt; t++ {
-				idx := qt.index(t, s.f[fi])*NumActions + uint64(a)
-				idxBuf[t] = idx
-				sum += int32(qt.partials[fi][t][idx])
-			}
-		} else {
-			for t := 0; t < nt; t++ {
-				sum += int32(qt.partials[fi][t][qt.index(t, s.f[fi])*NumActions+uint64(a)])
-			}
+		for t := 0; t < nt; t++ {
+			idx := qt.index(t, s.f[fi])*NumActions + uint64(a)
+			idxBuf[t] = idx
+			sum += int32(qt.partials[fi][t][idx])
 		}
 		delta := target - float64(sum)/qScale
 		step := qt.cfg.Alpha * delta * qScale / float64(nt)
@@ -289,9 +247,6 @@ func (qt *QTable) Update(s State, a Action, target, rnd float64) {
 		}
 		for t := 0; t < nt; t++ {
 			idx := idxBuf[t]
-			if !hoist {
-				idx = qt.index(t, s.f[fi])*NumActions + uint64(a)
-			}
 			qt.partials[fi][t][idx] = satAdd16(qt.partials[fi][t][idx], inc)
 		}
 	}

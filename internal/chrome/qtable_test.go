@@ -73,24 +73,24 @@ func TestFeatureGeneralization(t *testing.T) {
 	}
 }
 
-func TestComposeMaxVsSum(t *testing.T) {
-	for _, compose := range []QCompose{ComposeMax, ComposeSum} {
-		cfg := DefaultConfig()
-		cfg.Compose = compose
-		qt := NewQTable(cfg)
-		st := NewState(1, 2)
-		qPC := qt.featureQ(0, st, ActionBypass)
-		qPN := qt.featureQ(1, st, ActionBypass)
-		got := qt.Q(st, ActionBypass)
-		var want float64
-		if compose == ComposeMax {
-			want = math.Max(qPC, qPN)
-		} else {
-			want = qPC + qPN
-		}
-		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("compose %v: Q = %v, want %v", compose, got, want)
-		}
+func TestComposeMax(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Alpha = 0.5
+	qt := NewQTable(cfg)
+	st := NewState(1, 2)
+	// Train the PN feature alone so the two features' Q-values differ.
+	for i := 0; i < 20; i++ {
+		qt.Update(NewState(3, 2), ActionBypass, 10, 0.5)
+	}
+	var sums [MaxStateFeatures][NumActions]int32
+	qt.gatherRows(st, &sums)
+	qPC := float64(sums[0][ActionBypass]) / qScale
+	qPN := float64(sums[1][ActionBypass]) / qScale
+	if qPC == qPN {
+		t.Fatalf("features did not diverge: both %v", qPC)
+	}
+	if got, want := qt.Q(st, ActionBypass), math.Max(qPC, qPN); got != want {
+		t.Fatalf("Q = %v, want max(%v, %v) = %v", got, qPC, qPN, want)
 	}
 }
 
@@ -228,6 +228,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Gamma = 1.0 },
 		func(c *Config) { c.Epsilon = 2 },
 		func(c *Config) { c.SubTables = 0 },
+		func(c *Config) { c.SubTables = 17 },
 		func(c *Config) { c.SubTableBits = 30 },
 		func(c *Config) { c.EQDepth = 1 },
 		func(c *Config) { c.SampledSets = 0 },

@@ -319,17 +319,7 @@ func specSubset(sc Scale) []workload.Profile {
 	if sc.Profiles <= 0 {
 		return workload.SPEC()
 	}
-	want := sc.Profiles * 2
-	var out []workload.Profile
-	for _, name := range representativeOrder {
-		if len(out) >= want {
-			break
-		}
-		if p, err := workload.ByName(name); err == nil {
-			out = append(out, p)
-		}
-	}
-	return out
+	return representativeProfiles(sc.Profiles * 2)
 }
 
 // representativeProfiles returns the first n behaviourally diverse SPEC

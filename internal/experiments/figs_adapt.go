@@ -88,15 +88,6 @@ func Fig16(sc Scale) []Report {
 	// One shared LRU baseline sweep.
 	baseResults := homoSweep(profiles, 4, []Scheme{LRUScheme()}, pf, sc)
 
-	eval := func(cfg chrome.Config) float64 {
-		s := CHROMEScheme(cfg)
-		ws := parMap(sc, len(profiles), func(i int) float64 {
-			r := runMix(sc.homoGens(profiles[i], 4), 4, s, pf, sc)
-			return metrics.WeightedSpeedup(r.IPC, baseResults[profiles[i].Name]["LRU"].IPC)
-		})
-		return metrics.GeoMean(ws)
-	}
-
 	var reports []Report
 	type sweep struct {
 		id, name string
@@ -115,7 +106,7 @@ func Fig16(sc Scale) []Report {
 		for _, v := range sw.values {
 			cfg := ChromeConfig()
 			sw.apply(&cfg, v)
-			gm := eval(cfg)
+			gm := geomeanOverLRU(profiles, baseResults, CHROMEScheme(cfg), pf, sc)
 			tab.AddRow(fmt.Sprintf("%g", v), metrics.Pct(gm))
 			summary[fmt.Sprintf("%s_%g_pct", sw.name, v)] = metrics.SpeedupPercent(gm)
 			if gm > bestGM {

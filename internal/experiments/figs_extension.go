@@ -41,12 +41,7 @@ func FeatureStudy(sc Scale) []Report {
 	for _, cand := range candidates {
 		cfg := ChromeConfig()
 		cfg.StateFeatures = cand.kinds
-		s := CHROMEScheme(cfg)
-		ws := parMap(sc, len(profiles), func(i int) float64 {
-			r := runMix(sc.homoGens(profiles[i], 4), 4, s, pf, sc)
-			return metrics.WeightedSpeedup(r.IPC, baseResults[profiles[i].Name]["LRU"].IPC)
-		})
-		gm := metrics.GeoMean(ws)
+		gm := geomeanOverLRU(profiles, baseResults, CHROMEScheme(cfg), pf, sc)
 		tab.AddRow(cand.name, metrics.Pct(gm))
 		summary[cand.name+"_pct"] = metrics.SpeedupPercent(gm)
 		if gm > bestGM {

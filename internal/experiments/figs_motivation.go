@@ -43,6 +43,17 @@ func homoSweep(profiles []workload.Profile, cores int, schemes []Scheme, pf Pref
 	return out
 }
 
+// geomeanOverLRU runs one scheme on a 4-core homogeneous mix of each
+// profile and returns its geomean weighted speedup over the profiles' "LRU"
+// results in base, a homoSweep over the same profiles.
+func geomeanOverLRU(profiles []workload.Profile, base map[string]map[string]sim.Result, s Scheme, pf PrefetchConfig, sc Scale) float64 {
+	ws := parMap(sc, len(profiles), func(i int) float64 {
+		r := runMix(sc.homoGens(profiles[i], 4), 4, s, pf, sc)
+		return metrics.WeightedSpeedup(r.IPC, base[profiles[i].Name]["LRU"].IPC)
+	})
+	return metrics.GeoMean(ws)
+}
+
 // geomeanSpeedups reduces a homoSweep to scheme -> geomean weighted speedup
 // over the "LRU" scheme.
 func geomeanSpeedups(results map[string]map[string]sim.Result, schemes []Scheme) map[string]float64 {

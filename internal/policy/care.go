@@ -19,7 +19,6 @@ type CARE struct {
 
 	sampler Sampler
 	shct    []uint8 // 3-bit saturating reuse counters per signature
-	maxRRPV uint8
 	rrpv    [][]uint8
 	// lineSig remembers the fill signature for detraining on unused
 	// eviction (only maintained in sampled sets).
@@ -35,8 +34,7 @@ func NewCARE(sets, ways, sampled int) *CARE {
 	c := &CARE{
 		sampler:   NewSampler(sets, sampled),
 		shct:      make([]uint8, 1<<careTableBits),
-		maxRRPV:   3,
-		rrpv:      make([][]uint8, sets),
+		rrpv:      newRRPV(sets, ways),
 		lineSig:   make([][]uint64, sets),
 		lineReref: make([][]bool, sets),
 		sampled:   make([]bool, sets),
@@ -45,7 +43,6 @@ func NewCARE(sets, ways, sampled int) *CARE {
 		c.shct[i] = 4
 	}
 	for s := 0; s < sets; s++ {
-		c.rrpv[s] = make([]uint8, ways)
 		c.lineSig[s] = make([]uint64, ways)
 		c.lineReref[s] = make([]bool, ways)
 		c.sampled[s] = c.sampler.Index(mem.SetIdxOf(s)) >= 0
@@ -66,21 +63,7 @@ func (c *CARE) obstructed(core mem.CoreID) bool {
 
 // Victim implements cache.Policy (SRRIP-style scan with aging).
 func (c *CARE) Victim(set mem.SetIdx, blocks []cache.Block, _ mem.Access) (int, bool) {
-	if w := invalidWay(blocks); w >= 0 {
-		return w, false
-	}
-	r := c.rrpv[set]
-	for {
-		for w := range r {
-			if r[w] >= c.maxRRPV {
-				return w, false
-			}
-		}
-		for w := range r {
-			// The scan found no way at maxRRPV, so none passes it here.
-			r[w]++
-		}
-	}
+	return rripVictim(blocks, c.rrpv[set]), false
 }
 
 // OnHit implements cache.Policy: promote, less aggressively for obstructed
@@ -106,11 +89,11 @@ func (c *CARE) OnFill(set mem.SetIdx, way int, _ []cache.Block, acc mem.Access) 
 	s := c.sig(acc)
 	var r uint8
 	if c.shct[s] >= 4 {
-		r = c.maxRRPV - 1
+		r = maxRRPV - 1
 	} else {
-		r = c.maxRRPV
+		r = maxRRPV
 	}
-	if c.obstructed(acc.Core) && r < c.maxRRPV {
+	if c.obstructed(acc.Core) && r < maxRRPV {
 		r++
 	}
 	c.rrpv[set][way] = r
@@ -127,7 +110,7 @@ func (c *CARE) OnEvict(set mem.SetIdx, way int, _ []cache.Block) {
 			c.shct[s]--
 		}
 	}
-	c.rrpv[set][way] = c.maxRRPV
+	c.rrpv[set][way] = maxRRPV
 	c.lineReref[set][way] = false
 	c.lineSig[set][way] = 0
 }

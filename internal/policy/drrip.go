@@ -11,8 +11,7 @@ import (
 // misses less in its leader sets. Included as additional baseline
 // infrastructure alongside SRRIP and PACMan.
 type DRRIP struct {
-	maxRRPV uint8
-	rrpv    [][]uint8
+	rrpv [][]uint8
 
 	leaderS []bool
 	leaderB []bool
@@ -27,15 +26,11 @@ type DRRIP struct {
 // NewDRRIP builds a DRRIP policy for the given LLC geometry.
 func NewDRRIP(sets, ways int) *DRRIP {
 	d := &DRRIP{
-		maxRRPV: 3,
-		rrpv:    make([][]uint8, sets),
+		rrpv:    newRRPV(sets, ways),
 		leaderS: make([]bool, sets),
 		leaderB: make([]bool, sets),
 		pselMax: 1 << 10,
 		psel:    1 << 9,
-	}
-	for s := 0; s < sets; s++ {
-		d.rrpv[s] = make([]uint8, ways)
 	}
 	leaders := 32
 	if sets < 64 {
@@ -76,21 +71,7 @@ func (d *DRRIP) Victim(set mem.SetIdx, blocks []cache.Block, acc mem.Access) (in
 			d.psel--
 		}
 	}
-	if w := invalidWay(blocks); w >= 0 {
-		return w, false
-	}
-	r := d.rrpv[set]
-	for {
-		for w := range r {
-			if r[w] >= d.maxRRPV {
-				return w, false
-			}
-		}
-		for w := range r {
-			// The scan found no way at maxRRPV, so none passes it here.
-			r[w]++
-		}
-	}
+	return rripVictim(blocks, d.rrpv[set]), false
 }
 
 // OnHit implements cache.Policy.
@@ -103,16 +84,16 @@ func (d *DRRIP) OnFill(set mem.SetIdx, way int, _ []cache.Block, _ mem.Access) {
 	if d.useBRRIP(set) {
 		d.brripCtr++
 		if d.brripCtr%32 == 0 {
-			d.rrpv[set][way] = d.maxRRPV - 1
+			d.rrpv[set][way] = maxRRPV - 1
 		} else {
-			d.rrpv[set][way] = d.maxRRPV
+			d.rrpv[set][way] = maxRRPV
 		}
 		return
 	}
-	d.rrpv[set][way] = d.maxRRPV - 1
+	d.rrpv[set][way] = maxRRPV - 1
 }
 
 // OnEvict implements cache.Policy.
 func (d *DRRIP) OnEvict(set mem.SetIdx, way int, _ []cache.Block) {
-	d.rrpv[set][way] = d.maxRRPV
+	d.rrpv[set][way] = maxRRPV
 }

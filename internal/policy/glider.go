@@ -52,7 +52,7 @@ func NewGlider(sets, ways, cores, sampled int) *Glider {
 		isvm:    make([][]int16, 1<<gliderTableBits),
 		pchr:    make([][pchrDepth]uint16, cores),
 		maxRRPV: 7,
-		rrpv:    make([][]uint8, sets),
+		rrpv:    newRRPV(sets, ways),
 		averse:  make([][]bool, sets),
 	}
 	g.optgens = make([]*optGen, g.sampler.Count())
@@ -60,7 +60,6 @@ func NewGlider(sets, ways, cores, sampled int) *Glider {
 		g.optgens[i] = newOptGen(ways)
 	}
 	for s := 0; s < sets; s++ {
-		g.rrpv[s] = make([]uint8, ways)
 		g.averse[s] = make([]bool, ways)
 	}
 	return g

@@ -33,7 +33,7 @@ func NewHawkeye(sets, ways, sampled int) *Hawkeye {
 		counters: make([]uint8, 1<<hawkeyeTableBits),
 		sigBits:  hawkeyeTableBits,
 		maxRRPV:  7,
-		rrpv:     make([][]uint8, sets),
+		rrpv:     newRRPV(sets, ways),
 		friendly: make([][]bool, sets),
 		lineSig:  make([][]uint64, sets),
 	}
@@ -45,7 +45,6 @@ func NewHawkeye(sets, ways, sampled int) *Hawkeye {
 		h.optgens[i] = newOptGen(ways)
 	}
 	for s := 0; s < sets; s++ {
-		h.rrpv[s] = make([]uint8, ways)
 		h.friendly[s] = make([]bool, ways)
 		h.lineSig[s] = make([]uint64, ways)
 	}

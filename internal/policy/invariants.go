@@ -20,7 +20,7 @@ var (
 // CheckSetInvariants implements cache.InvariantChecker: every RRPV stays
 // within [0, maxRRPV].
 func (p *SRRIP) CheckSetInvariants(set mem.SetIdx) error {
-	return checkRRPVBounds(p.rrpv[set], p.maxRRPV)
+	return checkRRPVBounds(p.rrpv[set])
 }
 
 // CheckSetInvariants implements cache.InvariantChecker: RRPVs stay within
@@ -29,10 +29,10 @@ func (d *DRRIP) CheckSetInvariants(set mem.SetIdx) error {
 	if d.psel < 0 || d.psel > d.pselMax {
 		return fmt.Errorf("PSEL %d outside [0, %d]", d.psel, d.pselMax)
 	}
-	return checkRRPVBounds(d.rrpv[set], d.maxRRPV)
+	return checkRRPVBounds(d.rrpv[set])
 }
 
-func checkRRPVBounds(rrpv []uint8, maxRRPV uint8) error {
+func checkRRPVBounds(rrpv []uint8) error {
 	for w, v := range rrpv {
 		if v > maxRRPV {
 			return fmt.Errorf("way %d RRPV %d exceeds max %d", w, v, maxRRPV)

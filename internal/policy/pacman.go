@@ -12,8 +12,7 @@ import (
 // and set dueling picks between treating prefetch hits as no-ops (PACMan-H)
 // and additionally demoting prefetch insertions (PACMan-M).
 type PACMan struct {
-	maxRRPV uint8
-	rrpv    [][]uint8
+	rrpv [][]uint8
 
 	// Set dueling: a few leader sets run each variant; follower sets use
 	// the winner according to a saturating miss counter (psel).
@@ -27,15 +26,11 @@ type PACMan struct {
 // NewPACMan builds a PACMan policy for the given LLC geometry.
 func NewPACMan(sets, ways int) *PACMan {
 	p := &PACMan{
-		maxRRPV: 3,
-		rrpv:    make([][]uint8, sets),
+		rrpv:    newRRPV(sets, ways),
 		leaderH: make([]bool, sets),
 		leaderM: make([]bool, sets),
 		pselMax: 1 << 10,
 		psel:    1 << 9,
-	}
-	for s := 0; s < sets; s++ {
-		p.rrpv[s] = make([]uint8, ways)
 	}
 	// 32 leader sets per variant, spread deterministically.
 	leaders := 32
@@ -77,21 +72,7 @@ func (p *PACMan) Victim(set mem.SetIdx, blocks []cache.Block, acc mem.Access) (i
 			p.psel--
 		}
 	}
-	if w := invalidWay(blocks); w >= 0 {
-		return w, false
-	}
-	r := p.rrpv[set]
-	for {
-		for w := range r {
-			if r[w] >= p.maxRRPV {
-				return w, false
-			}
-		}
-		for w := range r {
-			// The scan found no way at maxRRPV, so none passes it here.
-			r[w]++
-		}
-	}
+	return rripVictim(blocks, p.rrpv[set]), false
 }
 
 // OnHit implements cache.Policy: demand hits promote to MRU; prefetch hits
@@ -110,16 +91,16 @@ func (p *PACMan) OnHit(set mem.SetIdx, way int, _ []cache.Block, acc mem.Access)
 func (p *PACMan) OnFill(set mem.SetIdx, way int, _ []cache.Block, acc mem.Access) {
 	if acc.IsPrefetch() {
 		if p.useM(set) {
-			p.rrpv[set][way] = p.maxRRPV
+			p.rrpv[set][way] = maxRRPV
 		} else {
-			p.rrpv[set][way] = p.maxRRPV - 1
+			p.rrpv[set][way] = maxRRPV - 1
 		}
 		return
 	}
-	p.rrpv[set][way] = p.maxRRPV - 1
+	p.rrpv[set][way] = maxRRPV - 1
 }
 
 // OnEvict implements cache.Policy.
 func (p *PACMan) OnEvict(set mem.SetIdx, way int, _ []cache.Block) {
-	p.rrpv[set][way] = p.maxRRPV
+	p.rrpv[set][way] = maxRRPV
 }

@@ -20,6 +20,39 @@ func invalidWay(blocks []cache.Block) int {
 	return -1
 }
 
+// maxRRPV is the distant re-reference prediction value of the 2-bit RRIP
+// policies: SRRIP, DRRIP, PACMan, SHiP++ and CARE.
+const maxRRPV = 3
+
+// newRRPV allocates a sets x ways matrix of RRPVs, all 0.
+func newRRPV(sets, ways int) [][]uint8 {
+	r := make([][]uint8, sets)
+	for s := range r {
+		r[s] = make([]uint8, ways)
+	}
+	return r
+}
+
+// rripVictim returns the first invalid way or, when the set is full, the
+// first way at maxRRPV, aging every way of the set's RRPVs until one
+// reaches it.
+func rripVictim(blocks []cache.Block, rrpv []uint8) int {
+	if w := invalidWay(blocks); w >= 0 {
+		return w
+	}
+	for {
+		for w := range rrpv {
+			if rrpv[w] >= maxRRPV {
+				return w
+			}
+		}
+		for w := range rrpv {
+			// The scan found no way at maxRRPV, so none passes it here.
+			rrpv[w]++
+		}
+	}
+}
+
 // lruWay returns the first invalid way or, when the set is full, the way
 // with the oldest LastTouch, in one pass over the set.
 func lruWay(blocks []cache.Block) int {
@@ -147,17 +180,12 @@ func (*LRU) OnEvict(mem.SetIdx, int, []cache.Block) {}
 // ISCA 2010) with maxRRPV=3: insert at 2, promote to 0 on hit, evict the
 // first way at 3 (aging all ways until one reaches 3).
 type SRRIP struct {
-	rrpv    [][]uint8
-	maxRRPV uint8
+	rrpv [][]uint8
 }
 
 // NewSRRIP builds an SRRIP policy for the given geometry.
 func NewSRRIP(sets, ways int) *SRRIP {
-	p := &SRRIP{maxRRPV: 3, rrpv: make([][]uint8, sets)}
-	for i := range p.rrpv {
-		p.rrpv[i] = make([]uint8, ways)
-	}
-	return p
+	return &SRRIP{rrpv: newRRPV(sets, ways)}
 }
 
 // Name implements cache.Policy.
@@ -165,21 +193,7 @@ func (*SRRIP) Name() string { return "SRRIP" }
 
 // Victim implements cache.Policy.
 func (p *SRRIP) Victim(set mem.SetIdx, blocks []cache.Block, _ mem.Access) (int, bool) {
-	if w := invalidWay(blocks); w >= 0 {
-		return w, false
-	}
-	r := p.rrpv[set]
-	for {
-		for w := range r {
-			if r[w] >= p.maxRRPV {
-				return w, false
-			}
-		}
-		for w := range r {
-			// The scan found no way at maxRRPV, so none passes it here.
-			r[w]++
-		}
-	}
+	return rripVictim(blocks, p.rrpv[set]), false
 }
 
 // OnHit implements cache.Policy.
@@ -189,7 +203,7 @@ func (p *SRRIP) OnHit(set mem.SetIdx, way int, _ []cache.Block, _ mem.Access) {
 
 // OnFill implements cache.Policy.
 func (p *SRRIP) OnFill(set mem.SetIdx, way int, _ []cache.Block, _ mem.Access) {
-	p.rrpv[set][way] = p.maxRRPV - 1
+	p.rrpv[set][way] = maxRRPV - 1
 }
 
 // OnEvict implements cache.Policy.

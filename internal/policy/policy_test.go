@@ -343,8 +343,8 @@ func TestSHiPPPCounterSaturates(t *testing.T) {
 	}
 	deadFills(10)
 	p.OnFill(0, 0, blocks, demand)
-	if p.rrpv[0][0] != p.maxRRPV {
-		t.Fatalf("demand fill after 12 dead fills inserted at RRPV %d, want %d: the SHCT wrapped below 0", p.rrpv[0][0], p.maxRRPV)
+	if p.rrpv[0][0] != maxRRPV {
+		t.Fatalf("demand fill after 12 dead fills inserted at RRPV %d, want %d: the SHCT wrapped below 0", p.rrpv[0][0], maxRRPV)
 	}
 }
 
@@ -489,7 +489,7 @@ func TestDRRIPBimodalInsertion(t *testing.T) {
 	distant, near := 0, 0
 	for i := 0; i < 320; i++ {
 		d.OnFill(mem.SetIdxOf(set), 0, blocks, mem.Access{PC: 1, Type: mem.Load})
-		if d.rrpv[set][0] == d.maxRRPV {
+		if d.rrpv[set][0] == maxRRPV {
 			distant++
 		} else {
 			near++

@@ -13,7 +13,6 @@ type SHiPPP struct {
 	sampler Sampler
 	// shct holds 3-bit saturating signature hit counters.
 	shct      []uint8
-	maxRRPV   uint8
 	rrpv      [][]uint8
 	lineSig   [][]uint64
 	lineReref [][]bool
@@ -27,8 +26,7 @@ func NewSHiPPP(sets, ways, sampled int) *SHiPPP {
 	p := &SHiPPP{
 		sampler:   NewSampler(sets, sampled),
 		shct:      make([]uint8, 1<<shipTableBits),
-		maxRRPV:   3,
-		rrpv:      make([][]uint8, sets),
+		rrpv:      newRRPV(sets, ways),
 		lineSig:   make([][]uint64, sets),
 		lineReref: make([][]bool, sets),
 		sampled:   make([]bool, sets),
@@ -37,7 +35,6 @@ func NewSHiPPP(sets, ways, sampled int) *SHiPPP {
 		p.shct[i] = 2
 	}
 	for s := 0; s < sets; s++ {
-		p.rrpv[s] = make([]uint8, ways)
 		p.lineSig[s] = make([]uint64, ways)
 		p.lineReref[s] = make([]bool, ways)
 		p.sampled[s] = p.sampler.Index(mem.SetIdxOf(s)) >= 0
@@ -54,21 +51,7 @@ func (p *SHiPPP) sig(acc mem.Access) uint64 {
 
 // Victim implements cache.Policy.
 func (p *SHiPPP) Victim(set mem.SetIdx, blocks []cache.Block, _ mem.Access) (int, bool) {
-	if w := invalidWay(blocks); w >= 0 {
-		return w, false
-	}
-	r := p.rrpv[set]
-	for {
-		for w := range r {
-			if r[w] >= p.maxRRPV {
-				return w, false
-			}
-		}
-		for w := range r {
-			// The scan found no way at maxRRPV, so none passes it here.
-			r[w]++
-		}
-	}
+	return rripVictim(blocks, p.rrpv[set]), false
 }
 
 // OnHit implements cache.Policy: SHiP++ trains only on the first
@@ -95,13 +78,13 @@ func (p *SHiPPP) OnFill(set mem.SetIdx, way int, _ []cache.Block, acc mem.Access
 	var r uint8
 	switch {
 	case p.shct[s] == 0:
-		r = p.maxRRPV
+		r = maxRRPV
 	case acc.IsPrefetch() && p.shct[s] < 6:
-		r = p.maxRRPV
+		r = maxRRPV
 	case p.shct[s] >= 6:
 		r = 0
 	default:
-		r = p.maxRRPV - 1
+		r = maxRRPV - 1
 	}
 	p.rrpv[set][way] = r
 	p.lineSig[set][way] = s
@@ -116,7 +99,7 @@ func (p *SHiPPP) OnEvict(set mem.SetIdx, way int, _ []cache.Block) {
 			p.shct[s]--
 		}
 	}
-	p.rrpv[set][way] = p.maxRRPV
+	p.rrpv[set][way] = maxRRPV
 	p.lineReref[set][way] = false
 	p.lineSig[set][way] = 0
 }
