@@ -6,9 +6,17 @@ package trace
 // construction parameters. A sweep that compares K policies on one workload
 // therefore regenerates a byte-identical stream K times. RecordStream runs
 // a generator once to a per-core instruction budget and freezes the stream
-// into a Recording — a flat, immutable struct-of-arrays buffer — and any
-// number of Replayers then serve it back with a cache-friendly column scan,
-// zero allocations, and a per-core rebase offset.
+// into a Recording — one immutable byte stream of delta-encoded records —
+// and any number of Replayers then decode it back in order, with zero
+// allocations and a per-core rebase offset.
+//
+// The encoding is private to this file. Each record is three unsigned
+// varints (7 bits per byte, low group first, the high bit set on every byte
+// but the last): gap<<2 | flags, then the zigzag-encoded difference between
+// its PC and the previous record's PC, then the same for its unrebased
+// address. The first record's differences are taken from zero. Deltas wrap
+// modulo 2^64, so every PC and address round-trips. A record takes 3 to 22
+// bytes: the head takes one or two, a delta up to ten.
 //
 // The freeze discipline: once Freeze runs, every mutating method panics
 // (TestRecordingFreezeDiscipline), which is what makes a Recording safe to
@@ -20,22 +28,22 @@ import (
 	"chrome/internal/mem"
 )
 
-// Bits of a recording's kinds column.
+// Bits of a record's head varint, below the gap.
 const (
 	flagWrite     = 1 << 0
 	flagDependent = 1 << 1
 )
 
-// Recording is a frozen, immutable trace stream in struct-of-arrays layout:
-// one column per Record field group, so replay touches dense homogeneous
-// arrays instead of striding over padded structs.
+// Recording is a frozen, immutable trace stream, encoded as one byte
+// stream that a Replayer decodes front to back.
 type Recording struct {
 	name string
-	// Parallel columns, one entry per record.
-	pcs   []uint64
-	addrs []uint64 // unrebased byte addresses
-	kinds []uint8  // flagWrite | flagDependent
-	gaps  []uint8
+	// buf holds the encoded records back to back; n counts them.
+	buf []byte
+	n   int
+	// pc and addr are the last added record's PC and unrebased address,
+	// from which the next record's deltas are taken.
+	pc, addr uint64
 	// instrs is the number of retired instructions the stream covers: each
 	// record retires Gap compute instructions plus the memory instruction
 	// itself (cpu.Core.Step consumes exactly one record per step).
@@ -52,26 +60,71 @@ func (r *Recording) mustMutable() {
 	}
 }
 
-// add appends one record to the columns.
+// add appends one encoded record to the stream.
 func (r *Recording) add(rec Record) {
 	r.mustMutable()
-	var k uint8
+	head := uint64(rec.Gap) << 2
 	if rec.Write {
-		k |= flagWrite
+		head |= flagWrite
 	}
 	if rec.Dependent {
-		k |= flagDependent
+		head |= flagDependent
 	}
-	r.pcs = append(r.pcs, rec.PC.Uint64())
-	r.addrs = append(r.addrs, rec.Addr.Uint64())
-	r.kinds = append(r.kinds, k)
-	r.gaps = append(r.gaps, rec.Gap)
+	pc, addr := rec.PC.Uint64(), rec.Addr.Uint64()
+	b := appendUvarint(r.buf, head)
+	b = appendUvarint(b, zigzag(pc-r.pc))
+	r.buf = appendUvarint(b, zigzag(addr-r.addr))
+	r.pc, r.addr = pc, addr
+	r.n++
 	r.instrs += uint64(rec.Gap) + 1
 }
 
-// Freeze makes the recording immutable. Idempotent; only the latch itself
-// is written.
-func (r *Recording) Freeze() { r.frozen = true }
+// appendUvarint appends x as an unsigned varint.
+func appendUvarint(b []byte, x uint64) []byte {
+	for x >= 0x80 {
+		b = append(b, byte(x)|0x80)
+		x >>= 7
+	}
+	return append(b, byte(x))
+}
+
+// uvarint decodes the varint that starts at buf[i] and returns it with the
+// index just past it. add wrote buf, so every varint is complete.
+func uvarint(buf []byte, i int) (uint64, int) {
+	x := uint64(buf[i])
+	if x < 0x80 {
+		return x, i + 1
+	}
+	x &= 0x7f
+	for s := uint(7); ; s += 7 {
+		i++
+		c := uint64(buf[i])
+		if c < 0x80 {
+			return x | c<<s, i + 1
+		}
+		x |= (c & 0x7f) << s
+	}
+}
+
+// zigzag maps a wrapped difference to an unsigned value that is small
+// when the difference, read as signed, is near zero: 0, -1, 1, -2 ...
+// become 0, 1, 2, 3 ...
+func zigzag(d uint64) uint64 { return d<<1 ^ uint64(int64(d)>>63) }
+
+// unzigzag inverts zigzag.
+func unzigzag(u uint64) uint64 { return u>>1 ^ -(u & 1) }
+
+// Freeze makes the recording immutable and releases the buffer's spare
+// capacity. Idempotent: a frozen recording is only read.
+func (r *Recording) Freeze() {
+	if r.frozen {
+		return
+	}
+	buf := make([]byte, len(r.buf))
+	copy(buf, r.buf)
+	r.buf = buf
+	r.frozen = true
+}
 
 // Frozen reports whether the recording has been frozen.
 func (r *Recording) Frozen() bool { return r.frozen }
@@ -80,23 +133,11 @@ func (r *Recording) Frozen() bool { return r.frozen }
 func (r *Recording) Name() string { return r.name }
 
 // Len returns the number of recorded records.
-func (r *Recording) Len() int { return len(r.pcs) }
+func (r *Recording) Len() int { return r.n }
 
 // Instructions returns the number of retired instructions the stream
 // covers (Σ Gap+1 over the records).
 func (r *Recording) Instructions() uint64 { return r.instrs }
-
-// At reconstructs record i of the stream, unrebased.
-func (r *Recording) At(i int) Record {
-	k := r.kinds[i]
-	return Record{
-		PC:        mem.PCOf(r.pcs[i]),
-		Addr:      mem.AddrOf(r.addrs[i]),
-		Write:     k&flagWrite != 0,
-		Dependent: k&flagDependent != 0,
-		Gap:       r.gaps[i],
-	}
-}
 
 // RecordStream runs gen until the stream covers at least budget retired
 // instructions and returns the frozen recording. The stopping point is a
@@ -107,20 +148,10 @@ func RecordStream(gen Generator, budget mem.Instr) *Recording {
 	if budget == 0 {
 		panic("trace: RecordStream requires a positive instruction budget")
 	}
-	// Typical profiles average ~3 instructions per record; pre-size the
-	// columns near that so recording does not thrash the allocator.
-	sized := budget.Uint64() / 3
-	if sized > 1<<30 {
-		sized = 1 << 30
-	}
-	est := int(sized) + 8
-	rec := &Recording{
-		name:  gen.Name(),
-		pcs:   make([]uint64, 0, est),
-		addrs: make([]uint64, 0, est),
-		kinds: make([]uint8, 0, est),
-		gaps:  make([]uint8, 0, est),
-	}
+	// Typical profiles average ~3 instructions and ~6 encoded bytes per
+	// record, so 2 bytes per budgeted instruction holds most streams
+	// without regrowing the buffer; Freeze trims what is left over.
+	rec := &Recording{name: gen.Name(), buf: make([]byte, 0, 2*min(budget.Uint64(), 1<<29))}
 	for rec.instrs < budget.Uint64() {
 		rec.add(gen.Next())
 	}
@@ -130,19 +161,18 @@ func RecordStream(gen Generator, budget mem.Instr) *Recording {
 
 // Replayer serves a frozen Recording back through the Generator interface,
 // applying a fixed per-core rebase offset, so sim/cpu consume recordings
-// without any changes. It holds the recording's column slices directly
-// (aliases of immutable data) plus a cursor; the per-core state is a few
-// words, so a K-scheme sweep shares one Recording through K cheap
-// Replayers.
+// without any changes. It aliases the recording's immutable byte stream
+// and keeps a cursor plus the previous record's PC and address; the
+// per-core state is a few words, so a K-scheme sweep shares one Recording
+// through K cheap Replayers.
 type Replayer struct {
-	name   string
-	pcs    []uint64
-	addrs  []uint64
-	kinds  []uint8
-	gaps   []uint8
-	instrs uint64
+	rec    *Recording
+	buf    []byte // rec.buf
 	offset mem.Addr
-	i      int
+	// pos is the byte offset of the next record; pc and addr are the
+	// previous record's PC and unrebased address.
+	pos      int
+	pc, addr uint64
 }
 
 // Replayer returns a zero-allocation Generator over the frozen recording
@@ -152,15 +182,7 @@ func (r *Recording) Replayer(offset mem.Addr) *Replayer {
 	if !r.frozen {
 		panic("trace: Replayer over unfrozen recording " + r.name)
 	}
-	return &Replayer{
-		name:   r.name,
-		pcs:    r.pcs,
-		addrs:  r.addrs,
-		kinds:  r.kinds,
-		gaps:   r.gaps,
-		instrs: r.instrs,
-		offset: offset,
-	}
+	return &Replayer{rec: r, buf: r.buf, offset: offset}
 }
 
 // Next returns the next recorded record. A replayer never wraps: running
@@ -170,29 +192,33 @@ func (r *Recording) Replayer(offset mem.Addr) *Replayer {
 //
 //chromevet:hot
 func (p *Replayer) Next() Record {
-	i := p.i
-	if i >= len(p.pcs) {
+	buf, i := p.buf, p.pos
+	if i >= len(buf) {
 		p.exhausted()
 	}
-	p.i = i + 1
-	k := p.kinds[i]
+	head, i := uvarint(buf, i)
+	dpc, i := uvarint(buf, i)
+	daddr, i := uvarint(buf, i)
+	p.pos = i
+	p.pc += unzigzag(dpc)
+	p.addr += unzigzag(daddr)
 	return Record{
-		PC:        mem.PCOf(p.pcs[i]),
-		Addr:      mem.AddrOf(p.addrs[i]) + p.offset,
-		Write:     k&flagWrite != 0,
-		Dependent: k&flagDependent != 0,
-		Gap:       p.gaps[i],
+		PC:        mem.PCOf(p.pc),
+		Addr:      mem.AddrOf(p.addr) + p.offset,
+		Write:     head&flagWrite != 0,
+		Dependent: head&flagDependent != 0,
+		Gap:       uint8(head >> 2),
 	}
 }
 
 // exhausted is the out-of-line panic path of Next.
 func (p *Replayer) exhausted() {
 	panic(fmt.Sprintf("trace: replay of %q exhausted after %d records (%d instructions); record with a budget covering the full run",
-		p.name, len(p.pcs), p.instrs))
+		p.rec.name, p.rec.n, p.rec.instrs))
 }
 
 // Reset rewinds the replayer to the first record.
-func (p *Replayer) Reset() { p.i = 0 }
+func (p *Replayer) Reset() { p.pos, p.pc, p.addr = 0, 0, 0 }
 
 // Name returns the recorded generator's name.
-func (p *Replayer) Name() string { return p.name }
+func (p *Replayer) Name() string { return p.rec.name }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -46,8 +47,19 @@ func recordFamilies(seed uint64) map[string]func() Generator {
 	}
 }
 
+// replay decodes every record of a frozen recording through a Replayer
+// with no offset.
+func replay(rec *Recording) []Record {
+	rep := rec.Replayer(0)
+	out := make([]Record, rec.Len())
+	for i := range out {
+		out[i] = rep.Next()
+	}
+	return out
+}
+
 // TestRecordStreamMatchesLive checks the record/replay contract per
-// generator family: the recorded columns reproduce the live stream
+// generator family: the replayed stream reproduces the live stream
 // record-for-record, and the recording covers the budget minimally.
 func TestRecordStreamMatchesLive(t *testing.T) {
 	const budget = 30_000
@@ -60,22 +72,14 @@ func TestRecordStreamMatchesLive(t *testing.T) {
 			if rec.Instructions() < budget {
 				t.Fatalf("recording covers %d instructions, want >= %d", rec.Instructions(), budget)
 			}
-			last := rec.At(rec.Len() - 1)
-			if rec.Instructions()-uint64(last.Gap)-1 >= budget {
+			got := replay(rec)
+			if last := got[len(got)-1]; rec.Instructions()-uint64(last.Gap)-1 >= budget {
 				t.Fatal("recording is not minimal: dropping the last record still covers the budget")
 			}
 			live := mk()
-			for i := 0; i < rec.Len(); i++ {
-				if got, want := rec.At(i), live.Next(); got != want {
-					t.Fatalf("record %d: recorded %+v, live %+v", i, got, want)
-				}
-			}
-			// And the replayer view must agree with At().
-			rep := rec.Replayer(0)
-			live.Reset()
-			for i := 0; i < rec.Len(); i++ {
-				if got, want := rep.Next(), live.Next(); got != want {
-					t.Fatalf("replay %d: got %+v, want %+v", i, got, want)
+			for i, g := range got {
+				if want := live.Next(); g != want {
+					t.Fatalf("record %d: replayed %+v, live %+v", i, g, want)
 				}
 			}
 		})
@@ -87,14 +91,16 @@ func TestReplayerOffsetAndReset(t *testing.T) {
 	rec := RecordStream(mk(), 5_000)
 	const off = mem.Addr(1) << 36
 	rep := rec.Replayer(off)
-	first := rep.Next()
-	if want := rec.At(0); first.Addr != want.Addr+off || first.PC != want.PC {
-		t.Fatalf("offset replay: got %+v, base %+v", first, want)
-	}
 	rep.Next()
+	rep.Next()
+	// Reset rewinds the previous PC and address with the cursor, so the
+	// whole stream replays again from record 0.
 	rep.Reset()
-	if again := rep.Next(); again != first {
-		t.Fatalf("Reset must rewind: got %+v, want %+v", again, first)
+	for i, want := range replay(rec) {
+		want.Addr += off
+		if got := rep.Next(); got != want {
+			t.Fatalf("offset replay %d after Reset: got %+v, want %+v", i, got, want)
+		}
 	}
 	if rep.Name() != rec.Name() {
 		t.Fatalf("replayer name %q, recording name %q", rep.Name(), rec.Name())
@@ -162,8 +168,9 @@ func TestRecordingRoundTrip(t *testing.T) {
 		t.Fatalf("round trip header mismatch: %q/%d/%d vs %q/%d/%d",
 			got.Name(), got.Len(), got.Instructions(), rec.Name(), rec.Len(), rec.Instructions())
 	}
-	for i := 0; i < rec.Len(); i++ {
-		if got.At(i) != rec.At(i) {
+	want := replay(rec)
+	for i, g := range replay(got) {
+		if g != want[i] {
 			t.Fatalf("round trip record %d mismatch", i)
 		}
 	}
@@ -172,16 +179,96 @@ func TestRecordingRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecordingRoundTripProperty round-trips arbitrary record columns
-// through a Recording: every PC, address, flag pair and gap in [0, 255]
-// that add stores comes back unchanged from At, from a Replayer (shifted
-// by its offset) and from re-recording that replay at the recording's
-// instruction count. A recording with no records covers no instructions.
+// exhausts reports whether the replayer's next Next panics, that is,
+// whether it has decoded exactly the recording's bytes.
+func exhausts(rep *Replayer) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	rep.Next()
+	return false
+}
+
+// roundTrips adds the records to a fresh recording and checks that it
+// counts them and their instructions, that a Replayer with the given
+// offset decodes every one (its address shifted by offset) and then
+// nothing more, and that re-recording that replay at the recording's
+// instruction count decodes to the same records.
+func roundTrips(want []Record, offset mem.Addr) bool {
+	rec := &Recording{name: "prop"}
+	var instrs uint64
+	for _, w := range want {
+		rec.add(w)
+		instrs += uint64(w.Gap) + 1
+	}
+	rec.Freeze()
+	if rec.Len() != len(want) || rec.Instructions() != instrs {
+		return false
+	}
+	rep := rec.Replayer(offset)
+	for _, w := range want {
+		w.Addr += offset
+		if rep.Next() != w {
+			return false
+		}
+	}
+	if !exhausts(rep) {
+		return false
+	}
+	if len(want) == 0 {
+		return true
+	}
+	got := RecordStream(rec.Replayer(0), mem.Instr(instrs))
+	if got.Len() != len(want) || got.Instructions() != instrs {
+		return false
+	}
+	for i, g := range replay(got) {
+		if g != want[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRecordingRoundTripProperty round-trips records through a Recording:
+// every PC, address, flag pair and gap in [0, 255] that add stores comes
+// back unchanged from a Replayer (shifted by its offset) and from
+// re-recording that replay. Fixed cases cover the codec's edges: PCs and
+// addresses that jump between 0, the signed extremes and math.MaxUint64 in
+// both directions (deltas of ±1, ±math.MaxInt64 and math.MinInt64, whose
+// zigzag forms need ten varint bytes), gap 255 with both flags set (a
+// two-byte head), and recordings of no and of one record.
 func TestRecordingRoundTripProperty(t *testing.T) {
+	jumps := []uint64{
+		0, math.MaxUint64, 0, 1 << 63, 0, math.MaxInt64,
+		math.MaxUint64, 1 << 63, math.MaxInt64, 0, math.MaxUint64,
+	}
+	var edges []Record
+	for i, v := range jumps {
+		edges = append(edges, Record{
+			PC:        mem.PCOf(v),
+			Addr:      mem.AddrOf(jumps[len(jumps)-1-i]),
+			Write:     i&1 != 0,
+			Dependent: i&2 != 0,
+			Gap:       uint8(i * 51),
+		})
+	}
+	full := Record{PC: 0x400000, Addr: 0x7fff_0040, Write: true, Dependent: true, Gap: 255}
+	for name, c := range map[string]struct {
+		recs   []Record
+		offset mem.Addr
+	}{
+		"empty":                 {nil, 0},
+		"one record":            {[]Record{{PC: 0x400010, Addr: 0x1000, Gap: 2}}, 64},
+		"extreme jumps":         {edges, 0},
+		"extreme jumps, offset": {edges, 1 << 63},
+		"gap 255, both flags":   {[]Record{full, full, {PC: 1, Addr: 2}, full}, 0},
+	} {
+		if !roundTrips(c.recs, c.offset) {
+			t.Errorf("%s: records did not round-trip", name)
+		}
+	}
+
 	f := func(pcs []uint64, flags []uint8, offset uint64) bool {
-		rec := &Recording{name: "prop"}
 		want := make([]Record, len(pcs))
-		var instrs uint64
 		for i, pc := range pcs {
 			var fl uint8
 			if i < len(flags) {
@@ -194,42 +281,27 @@ func TestRecordingRoundTripProperty(t *testing.T) {
 				Dependent: fl&2 != 0,
 				Gap:       fl ^ uint8(pc),
 			}
-			rec.add(want[i])
-			instrs += uint64(want[i].Gap) + 1
 		}
-		rec.Freeze()
-		if rec.Len() != len(want) || rec.Instructions() != instrs {
-			return false
-		}
-		off := mem.AddrOf(offset)
-		rep := rec.Replayer(off)
-		for i, w := range want {
-			if rec.At(i) != w {
-				return false
-			}
-			w.Addr += off
-			if rep.Next() != w {
-				return false
-			}
-		}
-		if len(want) == 0 {
-			return true
-		}
-		got := RecordStream(rec.Replayer(0), mem.Instr(instrs))
-		if got.Len() != len(want) || got.Instructions() != instrs {
-			return false
-		}
-		for i, w := range want {
-			if got.At(i) != w {
-				return false
-			}
-		}
-		return true
-	}
-	if !f(nil, nil, 0) {
-		t.Error("empty recording did not round-trip")
+		return roundTrips(want, mem.AddrOf(offset))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRecordingFootprint holds the encoding to its purpose, a recording
+// small enough to keep many long windows in memory: a frozen recording of
+// every generator family keeps at most 8 bytes of buffer per record.
+// Parallel PC, address, flag and gap columns took 18, plus their
+// pre-sizing slack.
+func TestRecordingFootprint(t *testing.T) {
+	const budget = 100_000
+	for name, mk := range recordFamilies(5) {
+		rec := RecordStream(mk(), budget)
+		per := float64(cap(rec.buf)) / float64(rec.Len())
+		t.Logf("%s: %d records, %.2f bytes per record", name, rec.Len(), per)
+		if per > 8 {
+			t.Errorf("%s: %.2f bytes of buffer per record, want <= 8", name, per)
+		}
 	}
 }

@@ -165,9 +165,10 @@ func TestTraceDirRoundTrip(t *testing.T) {
 		t.Fatalf("re-recorded %q/%d/%d, cached %q/%d/%d",
 			again.Name(), again.Len(), again.Instructions(), rec.Name(), rec.Len(), rec.Instructions())
 	}
+	cached, reRecorded := rec.Replayer(0), again.Replayer(0)
 	for i := 0; i < rec.Len(); i++ {
-		if again.At(i) != rec.At(i) {
-			t.Fatalf("record %d: re-recorded %+v, cached %+v", i, again.At(i), rec.At(i))
+		if got, want := reRecorded.Next(), cached.Next(); got != want {
+			t.Fatalf("record %d: re-recorded %+v, cached %+v", i, got, want)
 		}
 	}
 
@@ -179,9 +180,10 @@ func TestTraceDirRoundTrip(t *testing.T) {
 	if longer.Instructions() < budget2 {
 		t.Fatalf("recording covers %d instructions, want >= %d", longer.Instructions(), budget2)
 	}
+	cached, extended := rec.Replayer(0), longer.Replayer(0)
 	for i := 0; i < rec.Len(); i++ {
-		if longer.At(i) != rec.At(i) {
-			t.Fatalf("record %d: budget %d gives %+v, budget %d gives %+v", i, budget2, longer.At(i), budget, rec.At(i))
+		if got, want := extended.Next(), cached.Next(); got != want {
+			t.Fatalf("record %d: budget %d gives %+v, budget %d gives %+v", i, budget2, got, budget, want)
 		}
 	}
 }
