@@ -387,22 +387,6 @@ func (c *Cache) onMiss(setIdx mem.SetIdx, set []Block, acc mem.Access) Result {
 	return res
 }
 
-// Invalidate removes the block holding addr, if present, returning whether
-// it was dirty. Used for upper-level back-invalidation tests.
-func (c *Cache) Invalidate(a mem.Addr) (present, dirty bool) {
-	tag := a.Block()
-	set := c.set(c.SetIndex(a))
-	for w := range set {
-		b := &set[w]
-		if b.Valid && b.Tag == tag {
-			present, dirty = true, b.Dirty
-			*b = Block{}
-			return
-		}
-	}
-	return false, false
-}
-
 // ReuseTracker records a set of block addresses (unused evictions for
 // Fig. 2, bypassed blocks for Fig. 9) and counts how many are subsequently
 // re-requested. The tracked set is bounded; once full, new records are

@@ -178,21 +178,6 @@ func TestUnusedEvictionStats(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := newTestCache(t, 4, 2)
-	c.Access(mem.Access{Addr: 0x40, Type: mem.Store, Cycle: 1})
-	present, dirty := c.Invalidate(0x40)
-	if !present || !dirty {
-		t.Fatal("invalidate should report a present dirty line")
-	}
-	if c.Probe(0x40) {
-		t.Fatal("line still present after invalidate")
-	}
-	if present, _ := c.Invalidate(0x40); present {
-		t.Fatal("second invalidate should miss")
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	for _, bad := range []Config{
 		{Name: "x", Sets: 0, Ways: 1},

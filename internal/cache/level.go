@@ -22,8 +22,6 @@ type Level interface {
 	SetEvictionTracker(*ReuseTracker)
 	// SetBypassTracker installs an optional bypass-efficiency tracker.
 	SetBypassTracker(*ReuseTracker)
-	// Invalidate removes the block holding addr, if present.
-	Invalidate(a mem.Addr) (present, dirty bool)
 }
 
 var _ Level = (*Cache)(nil)

@@ -18,9 +18,15 @@ const DefaultEpochCycles = mem.Cycle(100_000)
 
 // Monitor tracks per-core LLC access overlap and obstruction status.
 //
-// Accesses from one core must be recorded in non-decreasing start-cycle
-// order (the simulator's per-core progression guarantees this); overlap
-// accounting is an exact interval-union under that ordering.
+// Overlap accounting is a running union: each record counts the part of
+// its interval past the latest end the core has covered so far. That is
+// the exact interval union when a core's records arrive in non-decreasing
+// start order, but the simulator does not deliver them so: a prefetch is
+// stamped with its trigger's cycle, while the demand it follows reaches
+// the LLC later, after L1/L2 latency and MSHR waits. The cycles a late
+// record spans before the covered end are not counted, so the monitor
+// never exceeds the exact union and falls short of it by a little
+// (TestCAMATMonitorNearExactUnion in internal/sim bounds the loss).
 type Monitor struct {
 	epochCycles mem.Cycle
 	tMem        float64

@@ -59,7 +59,8 @@ func (qt *QTable) WriteTo(w io.Writer) (int64, error) {
 
 // ReadFrom restores a Q-table's learned state from a checkpoint written by
 // WriteTo. The receiving table's configuration (feature count, sub-tables,
-// bits) must match the checkpoint's. It implements io.ReaderFrom.
+// bits) must match the checkpoint's. On error the table is unchanged. It
+// implements io.ReaderFrom.
 func (qt *QTable) ReadFrom(r io.Reader) (int64, error) {
 	br := bufio.NewReader(r)
 	var n int64
@@ -92,14 +93,22 @@ func (qt *QTable) ReadFrom(r io.Reader) (int64, error) {
 			ErrBadCheckpoint, header.Features, header.SubTables, header.Bits,
 			qt.n, qt.cfg.SubTables, qt.cfg.SubTableBits)
 	}
-	if err := read(&qt.updates); err != nil {
+	// Decode into a buffer of its own and copy into the table only once
+	// the whole checkpoint has been read, so a failed load leaves the
+	// table as it was.
+	var updates uint64
+	if err := read(&updates); err != nil {
 		return n, fmt.Errorf("%w: truncated: %v", ErrBadCheckpoint, err)
 	}
+	entries := (1 << qt.cfg.SubTableBits) * NumActions
+	partials := make([]int16, qt.n*qt.cfg.SubTables*entries)
+	if err := read(partials); err != nil {
+		return n, fmt.Errorf("%w: truncated partials: %v", ErrBadCheckpoint, err)
+	}
+	qt.updates = updates
 	for f := 0; f < qt.n; f++ {
 		for t := 0; t < qt.cfg.SubTables; t++ {
-			if err := read(qt.partials[f][t]); err != nil {
-				return n, fmt.Errorf("%w: truncated partials: %v", ErrBadCheckpoint, err)
-			}
+			partials = partials[copy(qt.partials[f][t], partials):]
 		}
 	}
 	return n, nil
@@ -112,7 +121,8 @@ func (a *Agent) SaveCheckpoint(w io.Writer) error {
 }
 
 // LoadCheckpoint warm-starts the agent from a saved Q-table. The agent's
-// configuration must match the checkpoint's table shape.
+// configuration must match the checkpoint's table shape. A checkpoint that
+// fails to load leaves the agent unchanged.
 func (a *Agent) LoadCheckpoint(r io.Reader) error {
 	_, err := a.qt.ReadFrom(r)
 	return err

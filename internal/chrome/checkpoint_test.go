@@ -93,13 +93,45 @@ func TestCheckpointRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestFailedLoadLeavesAgentUnchanged loads a checkpoint cut 10 bytes short,
+// inside its last partial, into a fresh agent: the load must fail with
+// ErrBadCheckpoint and leave the agent's table exactly as it was, its
+// update counter and every Q-value.
+func TestFailedLoadLeavesAgentUnchanged(t *testing.T) {
+	cfg := testConfig()
+	var trained bytes.Buffer
+	if err := trainAgent(t, cfg, 5000).SaveCheckpoint(&trained); err != nil {
+		t.Fatal(err)
+	}
+	a := New(cfg, 16, 2)
+	var before bytes.Buffer
+	if err := a.SaveCheckpoint(&before); err != nil {
+		t.Fatal(err)
+	}
+	short := trained.Bytes()[:trained.Len()-10]
+	if err := a.LoadCheckpoint(bytes.NewReader(short)); !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("err = %v, want ErrBadCheckpoint", err)
+	}
+	if got := a.QTable().Updates(); got != 0 {
+		t.Fatalf("a failed load moved the update counter to %d", got)
+	}
+	var after bytes.Buffer
+	if err := a.SaveCheckpoint(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after.Bytes(), before.Bytes()) {
+		t.Fatal("a failed load changed the agent's Q-table")
+	}
+}
+
 // FuzzLoadCheckpoint checks the CHQT reader's contract on arbitrary bytes,
 // the one on-disk input the program reads: a malformed input yields an
-// error wrapping ErrBadCheckpoint, never a panic or a bare error, and an
-// accepted input saves back as exactly the bytes the reader consumed (a
-// prefix of the input: the reader stops after the last partial). The table
-// is shrunk to 2 sub-tables of 8 entries, so a whole valid checkpoint is a
-// few hundred bytes and mutations reach the accept path.
+// error wrapping ErrBadCheckpoint, never a panic or a bare error, and
+// leaves the agent's table as a fresh agent's; an accepted input saves
+// back as exactly the bytes the reader consumed (a prefix of the input:
+// the reader stops after the last partial). The table is shrunk to 2
+// sub-tables of 8 entries, so a whole valid checkpoint is a few hundred
+// bytes and mutations reach the accept path.
 func FuzzLoadCheckpoint(f *testing.F) {
 	cfg := testConfig()
 	cfg.SubTables = 2
@@ -112,16 +144,26 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte("CHQT"))
+	var fresh bytes.Buffer
+	if err := New(cfg, 16, 2).SaveCheckpoint(&fresh); err != nil {
+		f.Fatal(err)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a := New(cfg, 16, 2)
+		var out bytes.Buffer
 		if err := a.LoadCheckpoint(bytes.NewReader(data)); err != nil {
 			if !errors.Is(err, ErrBadCheckpoint) {
 				t.Fatalf("LoadCheckpoint error does not wrap ErrBadCheckpoint: %v", err)
 			}
+			if err := a.SaveCheckpoint(&out); err != nil {
+				t.Fatalf("saving after a failed load: %v", err)
+			}
+			if !bytes.Equal(out.Bytes(), fresh.Bytes()) {
+				t.Fatal("a failed load changed the agent's Q-table")
+			}
 			return
 		}
-		var out bytes.Buffer
 		if err := a.SaveCheckpoint(&out); err != nil {
 			t.Fatalf("saving an accepted checkpoint: %v", err)
 		}

@@ -114,6 +114,10 @@ type System struct {
 	llcm  *mshr
 	dram  *DRAM
 	mon   *camat.Monitor
+	// onLLC, when set, sees every LLC access the monitor records, as
+	// (core, start cycle, latency); tests hold the monitor's union of
+	// intervals to an exact one through it.
+	onLLC func(core mem.CoreID, start, latency mem.Cycle)
 
 	// pfBuf and l2pfBuf are reused prefetch-candidate scratch buffers (one
 	// per training site so a buffer is never both iterated and refilled);
@@ -323,6 +327,9 @@ func (s *System) llcAccess(acc mem.Access) mem.Cycle {
 		}
 	}
 	s.mon.Record(acc.Core, acc.Cycle, latency)
+	if s.onLLC != nil {
+		s.onLLC(acc.Core, acc.Cycle, latency)
+	}
 	return latency
 }
 
