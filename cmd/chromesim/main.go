@@ -159,8 +159,10 @@ func main() {
 	}
 
 	fmt.Printf("policy=%s workload=%s cores=%d prefetch=%s\n", res.PolicyName, *wl, *cores, pf.Name)
+	// IPC, instructions and cycles cover the measured window; the C-AMAT
+	// monitor is not reset at the warmup boundary.
 	for i, ipc := range res.IPC {
-		fmt.Printf("  core %2d: IPC %.4f (%d instr, %d cycles, C-AMAT %.1f)\n",
+		fmt.Printf("  core %2d: IPC %.4f (%d instr, %d cycles, C-AMAT %.1f incl. warmup)\n",
 			i, ipc, res.Instructions[i], res.Cycles[i], res.CAMAT[i])
 	}
 	st := res.LLC

@@ -53,7 +53,6 @@ func inScope(s Scope, modPath, pkgPath string) bool {
 // Analyzer is a per-package check.
 type Analyzer struct {
 	Name  string
-	Doc   string
 	Scope Scope
 	Run   func(*Pass) []Finding
 }
@@ -76,9 +75,7 @@ func Analyzers() []*Analyzer {
 }
 
 // RunAnalyzers applies the suite to the loaded packages, each analyzer to
-// the packages in its scope, dropping findings suppressed by
-// "//chromevet:allow" comments, and returns the sorted findings (including
-// the suppression audit's stale/unknown-allow findings).
+// the packages in its scope, and returns the sorted findings.
 func RunAnalyzers(l *Loader, pkgs []*Package) []Finding { return runSuite(l, pkgs, true) }
 
 // RunSelfAudit applies every analyzer to the given packages regardless of
@@ -89,61 +86,14 @@ func RunSelfAudit(l *Loader, pkgs []*Package) []Finding { return runSuite(l, pkg
 func runSuite(l *Loader, pkgs []*Package, scoped bool) []Finding {
 	var out []Finding
 	for _, p := range pkgs {
-		ran := map[string]bool{}
 		for _, a := range Analyzers() {
-			if scoped && !inScope(a.Scope, l.ModPath, p.Path) {
-				continue
+			if !scoped || inScope(a.Scope, l.ModPath, p.Path) {
+				out = append(out, a.Run(&Pass{L: l, P: p})...)
 			}
-			ran[a.Name] = true
-			out = append(out, filterAllowed(p, a.Name, a.Run(&Pass{L: l, P: p}))...)
 		}
-		out = append(out, auditAllows(p, ran)...)
 	}
 	SortFindings(out)
 	return out
-}
-
-// auditAllows holds the suppression comments themselves to account: an
-// allow naming an analyzer the suite does not have is a typo that would
-// silently suppress nothing forever, and an allow whose analyzer ran over
-// the package without matching any finding is stale — the hazard it
-// justified no longer exists. Both are reported under the pseudo-analyzer
-// "allow", whose findings are deliberately unsuppressable (an allow cannot
-// waive the audit of allows).
-func auditAllows(p *Package, ran map[string]bool) []Finding {
-	known := map[string]bool{}
-	for _, a := range Analyzers() {
-		known[a.Name] = true
-	}
-	var out []Finding
-	for _, rec := range p.allowRecords {
-		switch {
-		case !known[rec.name]:
-			out = append(out, Finding{
-				Analyzer: "allow",
-				Pos:      rec.pos,
-				Message:  fmt.Sprintf("allow names unknown analyzer %q: the suppression can never match (typo?)", rec.name),
-			})
-		case !rec.used && ran[rec.name]:
-			out = append(out, Finding{
-				Analyzer: "allow",
-				Pos:      rec.pos,
-				Message:  fmt.Sprintf("stale allow: %s reported no finding on this line; delete the suppression or move it to the hazard it justifies", rec.name),
-			})
-		}
-	}
-	return out
-}
-
-func filterAllowed(p *Package, analyzer string, fs []Finding) []Finding {
-	kept := fs[:0]
-	for _, f := range fs {
-		if p.Allowed(analyzer, f.Pos) {
-			continue
-		}
-		kept = append(kept, f)
-	}
-	return kept
 }
 
 // SortFindings orders findings by file, line, column, analyzer.

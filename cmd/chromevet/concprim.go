@@ -15,7 +15,6 @@ import (
 func analyzerConcPrim() *Analyzer {
 	return &Analyzer{
 		Name:  "concprim",
-		Doc:   "concurrency primitive inside a single-threaded core package",
 		Scope: ScopeCore,
 		Run:   runConcPrim,
 	}

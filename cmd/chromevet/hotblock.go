@@ -20,9 +20,7 @@ import (
 
 func analyzerHotBlock() *Analyzer {
 	return &Analyzer{
-		Name: "hotblock",
-		Doc: "//chromevet:hot functions never block: no sync primitives, channel operations, " +
-			"timer waits, or I/O calls",
+		Name:  "hotblock",
 		Scope: ScopeInternal,
 		Run:   runHotBlock,
 	}

@@ -15,46 +15,12 @@ import (
 )
 
 // Package is one loaded, type-checked package plus the side tables the
-// analyzers need (ASTs, type info, and per-line suppression comments).
+// analyzers need (ASTs and type info).
 type Package struct {
 	Path  string // import path ("chrome/internal/cache")
-	Dir   string
-	Name  string
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
-
-	// allow maps file -> line -> suppression records indexed on that line via
-	// "//chromevet:allow name[,name...]" comments (the comment's own line and
-	// the line below it, so both trailing and preceding placements work). The
-	// same record backs both lines, so one match marks the comment used.
-	allow map[string]map[int][]*allowRecord
-	// allowRecords lists every record once, in source order, for the
-	// stale/unknown suppression audit.
-	allowRecords []*allowRecord
-}
-
-// allowRecord is one analyzer name carried by one "//chromevet:allow"
-// comment, plus whether any finding was actually suppressed by it. An allow
-// whose analyzer ran over the package without ever matching is stale — the
-// suppressed hazard no longer exists — and is reported like go vet's unused
-// directives, so waivers cannot silently outlive their justification.
-type allowRecord struct {
-	name string
-	pos  token.Position
-	used bool
-}
-
-// Allowed reports whether a finding of the named analyzer at pos is
-// suppressed by an allow comment, marking the matching record used.
-func (p *Package) Allowed(analyzer string, pos token.Position) bool {
-	for _, rec := range p.allow[pos.Filename][pos.Line] {
-		if rec.name == analyzer {
-			rec.used = true
-			return true
-		}
-	}
-	return false
 }
 
 // Loader parses and type-checks packages of one module without any tooling
@@ -113,9 +79,6 @@ func (l *Loader) Override(path, dir string) { l.overrides[path] = dir }
 func (l *Loader) dirFor(path string) (string, bool) {
 	if dir, ok := l.overrides[path]; ok {
 		return dir, true
-	}
-	if path == l.ModPath {
-		return l.ModRoot, true
 	}
 	if rest, ok := strings.CutPrefix(path, l.ModPath+"/"); ok {
 		return filepath.Join(l.ModRoot, filepath.FromSlash(rest)), true
@@ -176,16 +139,7 @@ func (l *Loader) Load(path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %w", path, err)
 	}
-	p := &Package{
-		Path:  path,
-		Dir:   dir,
-		Name:  pkg.Name(),
-		Files: files,
-		Pkg:   pkg,
-		Info:  info,
-		allow: map[string]map[int][]*allowRecord{},
-	}
-	l.collectAllows(p)
+	p := &Package{Path: path, Files: files, Pkg: pkg, Info: info}
 	l.pkgs[path] = p
 	return p, nil
 }
@@ -239,39 +193,6 @@ func (l *Loader) fileIncluded(src []byte) bool {
 		return expr.Eval(func(tag string) bool { return l.Tags[tag] })
 	}
 	return true
-}
-
-// collectAllows indexes "//chromevet:allow name[,name...]" comments.
-func (l *Loader) collectAllows(p *Package) {
-	for _, f := range p.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				text = strings.TrimSpace(text)
-				rest, ok := strings.CutPrefix(text, "chromevet:allow")
-				if !ok {
-					continue
-				}
-				rest, _, _ = strings.Cut(rest, "--") // strip justification
-
-				pos := l.Fset.Position(c.Pos())
-				byLine := p.allow[pos.Filename]
-				if byLine == nil {
-					byLine = map[int][]*allowRecord{}
-					p.allow[pos.Filename] = byLine
-				}
-				for _, name := range strings.FieldsFunc(rest, func(r rune) bool {
-					return r == ',' || r == ' ' || r == '\t'
-				}) {
-					rec := &allowRecord{name: name, pos: pos}
-					p.allowRecords = append(p.allowRecords, rec)
-					for _, ln := range []int{pos.Line, pos.Line + 1} {
-						byLine[ln] = append(byLine[ln], rec)
-					}
-				}
-			}
-		}
-	}
 }
 
 // FindModule walks up from dir to the enclosing go.mod and returns the

@@ -18,7 +18,6 @@ import (
 func analyzerMapRange() *Analyzer {
 	return &Analyzer{
 		Name:  "maprange",
-		Doc:   "map iteration whose order can reach simulator state or results",
 		Scope: ScopeCore,
 		Run:   runMapRange,
 	}

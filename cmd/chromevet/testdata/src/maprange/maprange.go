@@ -4,7 +4,10 @@
 // core-package scope applies.
 package fixture
 
-import "sort"
+import (
+	"maps"
+	"slices"
+)
 
 // sumInt is a negative case: integer accumulation is commutative.
 func sumInt(m map[string]uint64) uint64 {
@@ -64,15 +67,10 @@ func tally(m map[string]int, c *counter) {
 	}
 }
 
-// collectSorted is the sanctioned pattern: collect, sort, then use. The
-// append itself is order-dependent, so it carries an allow annotation.
+// collectSorted is a negative case and the sanctioned pattern for using
+// a map's keys in order: no range statement, so nothing to flag.
 func collectSorted(m map[string]int) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k) //chromevet:allow maprange -- sorted below
-	}
-	sort.Strings(keys)
-	return keys
+	return slices.Sorted(maps.Keys(m))
 }
 
 // localOnly is a negative case: all mutated state is loop-local.

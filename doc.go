@@ -16,8 +16,8 @@
 //   - cmd/chromesim:    run one simulation configuration over workload
 //     generators
 //   - cmd/experiments:  reproduce the paper's tables and figures
-//   - cmd/objbench:     drive the CHROME-managed object cache
-//   - cmd/chromevet:    the repository's static-analysis suite
+//   - cmd/chromevet:    the repository's static-analysis suite, one
+//     flagless check over internal/, cmd/ and examples/
 //   - examples/...:     runnable scenarios using the public APIs
 //
 // cmd/experiments regenerates every table and figure of the paper's

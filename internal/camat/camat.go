@@ -87,12 +87,14 @@ func (m *Monitor) Record(core mem.CoreID, start, latency mem.Cycle) {
 	cs.totalAccesses++
 }
 
-// rollEpoch finalizes the epoch verdict and starts accumulating a new one.
+// reset clears the epoch accumulators; the lifetime aggregates stay.
 func (cs *coreState) reset() {
 	cs.activeCycles = 0
 	cs.accesses = 0
 }
 
+// rollEpoch finalizes the epoch verdict and starts accumulating a new one.
+//
 //chromevet:hot
 func (m *Monitor) rollEpoch(cs *coreState, newEpoch uint64) {
 	if cs.accesses > 0 {

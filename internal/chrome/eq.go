@@ -62,12 +62,6 @@ func NewEQ(queues, depth int) *EQ {
 	return eq
 }
 
-// Depth returns the per-queue capacity.
-func (eq *EQ) Depth() int { return eq.depth }
-
-// Queues returns the number of FIFOs.
-func (eq *EQ) Queues() int { return len(eq.queues) }
-
 // Len returns the occupancy of queue q.
 func (eq *EQ) Len(q int) int { return eq.queues[q].n }
 

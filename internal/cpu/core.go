@@ -77,9 +77,6 @@ func (c *Core) ID() mem.CoreID { return c.id }
 // Cycle returns the core's issue-frontier cycle (its scheduling time).
 func (c *Core) Cycle() mem.Cycle { return c.curCycle }
 
-// RetireCycle returns the retire cycle of the last retired instruction.
-func (c *Core) RetireCycle() mem.Cycle { return c.lastRetire }
-
 // Instructions returns the number of retired instructions.
 func (c *Core) Instructions() mem.Instr { return c.instrRetired }
 

@@ -346,25 +346,6 @@ func gapSubset(sc Scale) []workload.Profile {
 	return ps[:sc.Profiles*2]
 }
 
-// speedups runs all schemes on one mix and returns name->weighted speedup
-// over the LRU scheme (which must be schemes[0]) plus the raw results. The
-// per-scheme runs are independent cells (each gets fresh generators), so
-// they execute on the Scale's worker pool; the maps are merged by scheme
-// index, making the output identical at any parallelism.
-func speedups(gens func() []trace.Generator, cores int, schemes []Scheme, pf PrefetchConfig, sc Scale) (map[string]float64, map[string]sim.Result) {
-	rs := parMap(sc, len(schemes), func(i int) sim.Result {
-		return runMix(gens(), cores, schemes[i], pf, sc)
-	})
-	base := rs[0]
-	out := map[string]float64{schemes[0].Name: 1.0}
-	results := map[string]sim.Result{schemes[0].Name: base}
-	for i, s := range schemes[1:] {
-		out[s.Name] = metrics.WeightedSpeedup(rs[i+1].IPC, base.IPC)
-		results[s.Name] = rs[i+1]
-	}
-	return out, results
-}
-
 // mixSweep runs all schemes on every mix and returns, per mix, the
 // name->weighted-speedup map over schemes[0] (the LRU baseline). The whole
 // mixes x schemes grid is flattened onto one worker pool, so wide mix

@@ -114,22 +114,6 @@ func TestRunMixProducesComparableResults(t *testing.T) {
 	}
 }
 
-func TestSpeedupsHelper(t *testing.T) {
-	sc := tinyScale()
-	m := workload.HeterogeneousMixes(2, 1, 3)[0]
-	schemes := []Scheme{LRUScheme(), MockingjayScheme()}
-	ws, results := speedups(m.Generators, 2, schemes, PFDefault(), sc)
-	if ws["LRU"] != 1.0 {
-		t.Fatalf("LRU self-speedup = %v", ws["LRU"])
-	}
-	if _, ok := ws["Mockingjay"]; !ok {
-		t.Fatal("missing scheme result")
-	}
-	if len(results) != 2 {
-		t.Fatalf("results = %d, want 2", len(results))
-	}
-}
-
 func TestRepresentativeProfiles(t *testing.T) {
 	ps := representativeProfiles(6)
 	if len(ps) != 6 {

@@ -12,8 +12,9 @@
 // rather than a quietly wrong speedup curve. Conversions between the
 // domains go through the named conversion points below (Addr.Block,
 // BlockAddr.Addr, BlockAddr.Set, the XxxOf constructors, the
-// Uint64/Int accessors); the chromevet `units` analyzer flags any raw
-// conversion outside this package (DESIGN.md §6.2).
+// Uint64/Int accessors). Go still compiles a raw conversion between two
+// of the types; one that crosses a dimension changes simulated behaviour,
+// so the committed digests catch it (DESIGN.md §6.2).
 //
 // All addresses are byte addresses. A cache block is 64 bytes and a page is
 // 4 KiB, matching the configuration in the CHROME paper (Table V).

@@ -54,9 +54,6 @@ type DRAM struct {
 	reads    uint64
 	writes   uint64
 	busyWait uint64 // cycles of queueing delay charged
-
-	// OnAccess, when non-nil, observes every transfer (testing/debugging).
-	OnAccess func(cycle, start mem.Cycle, write bool)
 }
 
 type dramChannel struct {
@@ -116,9 +113,6 @@ func (d *DRAM) Access(addr mem.Addr, cycle mem.Cycle, write bool) mem.Cycle {
 	} else {
 		lat = d.cfg.RowMiss
 		d.openRow[bi] = row + 1
-	}
-	if d.OnAccess != nil {
-		d.OnAccess(cycle, cycle+wait, write)
 	}
 	if write {
 		d.writes++

@@ -164,8 +164,6 @@ type Stride struct {
 	streams []strideStream
 	gap     uint8
 	idx     int
-	r       *rand.Rand
-	seed    uint64
 	init    []strideStream
 }
 
@@ -186,8 +184,8 @@ type StrideConfig struct {
 	Strides []uint64 // per-stream stride in bytes (cycled if shorter)
 	Size    uint64   // per-stream region size in bytes
 	Gap     uint8
-	Writes  int // number of streams that are store streams
-	Seed    uint64
+	Writes  int    // number of streams that are store streams
+	Seed    uint64 // accepted like every generator's; the streams draw nothing random
 }
 
 // NewStride builds a multi-stream strided generator.
@@ -201,7 +199,7 @@ func NewStride(cfg StrideConfig) *Stride {
 	if len(cfg.Strides) == 0 {
 		cfg.Strides = []uint64{64, 128, 192, 256}
 	}
-	g := &Stride{name: cfg.Name, gap: cfg.Gap, seed: cfg.Seed}
+	g := &Stride{name: cfg.Name, gap: cfg.Gap}
 	for i := 0; i < cfg.Streams; i++ {
 		g.init = append(g.init, strideStream{
 			pc:     mem.PCOf(0x500000 + cfg.Region*0x1000 + uint64(i)*16),
@@ -230,7 +228,6 @@ func (g *Stride) Next() Record {
 func (g *Stride) Reset() {
 	g.streams = append(g.streams[:0], g.init...)
 	g.idx = 0
-	g.r = rng(g.seed ^ 0x77aa01)
 }
 
 // Name returns the configured name.
