@@ -38,7 +38,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: chromevet (no arguments: it checks every package under internal/, cmd/ and examples/)")
 		os.Exit(2)
 	}
-	findings, paths, err := checkModule(".")
+	root, modPath, err := FindModule(".")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "chromevet:", err)
+		os.Exit(2)
+	}
+	findings, paths, err := checkModule(NewLoader(root, modPath))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "chromevet:", err)
 		os.Exit(2)
@@ -53,16 +58,12 @@ func main() {
 }
 
 // checkModule runs the suite over every package under internal/, cmd/ and
-// examples/ of the module enclosing dir. It returns the findings and the
-// sorted import paths of the packages it checked.
-func checkModule(dir string) ([]Finding, []string, error) {
-	root, modPath, err := FindModule(dir)
-	if err != nil {
-		return nil, nil, err
-	}
+// examples/ of l's module. It returns the findings and the sorted import
+// paths of the packages it checked.
+func checkModule(l *Loader) ([]Finding, []string, error) {
 	var paths []string
 	for _, top := range []string{"internal", "cmd", "examples"} {
-		err := filepath.WalkDir(filepath.Join(root, top), func(path string, d fs.DirEntry, err error) error {
+		err := filepath.WalkDir(filepath.Join(l.ModRoot, top), func(path string, d fs.DirEntry, err error) error {
 			switch {
 			case err != nil:
 				return err
@@ -71,11 +72,11 @@ func checkModule(dir string) ([]Finding, []string, error) {
 			case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
 				return nil
 			}
-			rel, err := filepath.Rel(root, filepath.Dir(path))
+			rel, err := filepath.Rel(l.ModRoot, filepath.Dir(path))
 			if err != nil {
 				return err
 			}
-			if pkg := modPath + "/" + filepath.ToSlash(rel); !slices.Contains(paths, pkg) {
+			if pkg := l.ModPath + "/" + filepath.ToSlash(rel); !slices.Contains(paths, pkg) {
 				paths = append(paths, pkg)
 			}
 			return nil
@@ -86,7 +87,6 @@ func checkModule(dir string) ([]Finding, []string, error) {
 	}
 	slices.Sort(paths)
 
-	l := NewLoader(root, modPath)
 	pkgs := make([]*Package, 0, len(paths))
 	for _, path := range paths {
 		p, err := l.Load(path)

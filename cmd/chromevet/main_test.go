@@ -7,6 +7,7 @@ import (
 	"regexp"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -52,14 +53,25 @@ func parseWants(t *testing.T, dir string) []want {
 	return out
 }
 
-// repoRoot locates the module root (two levels above cmd/chromevet).
-func repoRoot(t *testing.T) string {
+// sharedLoader is the one Loader of this test binary, so its FileSet and
+// source importer type-check the standard library from GOROOT once for
+// every test rather than once per test. The fixtures' overrides load them
+// under paths no module package uses.
+var sharedLoader = sync.OnceValues(func() (*Loader, error) {
+	root, modPath, err := FindModule(".")
+	if err != nil {
+		return nil, err
+	}
+	return NewLoader(root, modPath), nil
+})
+
+func testLoader(t *testing.T) *Loader {
 	t.Helper()
-	root, _, err := FindModule(".")
+	l, err := sharedLoader()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return root
+	return l
 }
 
 // TestFixtures loads each deliberately-broken fixture and checks that the
@@ -69,9 +81,8 @@ func repoRoot(t *testing.T) string {
 // loaded under a realistic import path, so the analyzers' scopes apply to
 // fixtures living in testdata.
 func TestFixtures(t *testing.T) {
-	root := repoRoot(t)
-	l := NewLoader(root, "chrome")
-	base := filepath.Join(root, "cmd", "chromevet", "testdata", "src")
+	l := testLoader(t)
+	base := filepath.Join(l.ModRoot, "cmd", "chromevet", "testdata", "src")
 	cases := []struct {
 		name string // fixture dir under testdata/src and intended analyzer
 		path string // import path the fixture is loaded under
@@ -145,8 +156,8 @@ func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repo-wide analysis in -short mode")
 	}
-	root := repoRoot(t)
-	findings, paths, err := checkModule(root)
+	l := testLoader(t)
+	findings, paths, err := checkModule(l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +166,7 @@ func TestRepoIsClean(t *testing.T) {
 	}
 
 	cmd := exec.Command("go", "list", "./internal/...", "./cmd/...", "./examples/...")
-	cmd.Dir = root
+	cmd.Dir = l.ModRoot
 	out, err := cmd.Output()
 	if err != nil {
 		t.Fatalf("go list: %v", err)
@@ -177,13 +188,8 @@ func TestRepoIsClean(t *testing.T) {
 // TestSelfAuditClean holds chromevet to its own rules: the per-package
 // suite with scopes bypassed, over cmd/chromevet itself.
 func TestSelfAuditClean(t *testing.T) {
-	root := repoRoot(t)
-	_, modPath, err := FindModule(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := NewLoader(root, modPath)
-	pkg, err := l.Load(modPath + "/cmd/chromevet")
+	l := testLoader(t)
+	pkg, err := l.Load(l.ModPath + "/cmd/chromevet")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,11 +122,16 @@ type Config struct {
 	Name string
 	// Sets is the number of sets (power of two).
 	Sets int
-	// Ways is the associativity.
+	// Ways is the associativity, at most MaxWays.
 	Ways int
 }
 
-// Result reports the outcome of one access.
+// MaxWays is the largest associativity New accepts: the victim scans pack
+// a way index into a key's low five bits (DESIGN.md §7).
+const MaxWays = 32
+
+// Result reports the outcome of one access. A bypass and a first use of a
+// prefetched line show in Stats (Bypasses, PrefetchUseful).
 //
 // Evicted is stored by value (with EvictedValid as the presence flag) so
 // that returning a Result never heap-allocates: the eviction path runs on
@@ -135,16 +140,12 @@ type Config struct {
 type Result struct {
 	// Hit reports whether the access hit.
 	Hit bool
-	// Bypassed reports that the policy chose not to cache a missing block.
-	Bypassed bool
 	// EvictedValid reports that a fill displaced a valid line, described by
 	// Evicted.
 	EvictedValid bool
 	// Evicted describes the displaced victim; meaningful only when
 	// EvictedValid is true.
 	Evicted Evicted
-	// FirstUse reports a demand hit on a prefetched, not-yet-used line.
-	FirstUse bool
 	// Block points at the hit or freshly filled line (nil on bypass and on
 	// writeback misses), letting the simulator read or set ReadyAt.
 	Block *Block
@@ -156,10 +157,6 @@ type Evicted struct {
 	Addr mem.Addr
 	// Dirty marks the victim as needing writeback.
 	Dirty bool
-	// Used reports whether the victim was demand-hit since fill.
-	Used bool
-	// Prefetched reports whether the victim was prefetch-filled.
-	Prefetched bool
 }
 
 // Cache is one set-associative cache level.
@@ -180,14 +177,15 @@ type Cache struct {
 }
 
 // New builds a cache level with the given geometry and policy. Sets must be
-// a power of two and both dimensions positive. The cache owns p from here
-// on: build a fresh policy per cache (sim.New calls its factory per level).
+// a power of two and positive, and Ways in [1, MaxWays]. The cache owns p
+// from here on: build a fresh policy per cache (sim.New calls its factory
+// per level).
 func New(cfg Config, p Policy) *Cache {
 	if cfg.Sets <= 0 || cfg.Sets&(cfg.Sets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: sets must be a positive power of two, got %d", cfg.Name, cfg.Sets))
 	}
-	if cfg.Ways <= 0 {
-		panic(fmt.Sprintf("cache %s: ways must be positive, got %d", cfg.Name, cfg.Ways))
+	if cfg.Ways <= 0 || cfg.Ways > MaxWays {
+		panic(fmt.Sprintf("cache %s: ways must be in [1, %d], got %d", cfg.Name, MaxWays, cfg.Ways))
 	}
 	if p == nil {
 		panic("cache: nil policy")
@@ -270,18 +268,14 @@ func (c *Cache) Access(acc mem.Access) Result {
 		}
 	}
 
-	res := Result{}
-	hit := false
 	for w := range set {
-		b := &set[w]
-		if b.Valid && b.Tag == tag {
-			res, hit = c.onHit(setIdx, w, set, acc), true
-			break
+		if b := &set[w]; b.Valid && b.Tag == tag {
+			res := c.onHit(setIdx, w, set, acc)
+			c.checkSet(setIdx)
+			return res
 		}
 	}
-	if !hit {
-		res = c.onMiss(setIdx, set, acc)
-	}
+	res := c.onMiss(setIdx, set, acc)
 	c.checkSet(setIdx)
 	return res
 }
@@ -308,7 +302,6 @@ func (c *Cache) onHit(setIdx mem.SetIdx, way int, set []Block, acc mem.Access) R
 	if acc.Type.IsDemand() {
 		if b.Prefetched && !b.Used && b.FillEpoch == c.epoch {
 			c.stats.PrefetchUseful++
-			res.FirstUse = true
 		}
 		b.Used = true
 	}
@@ -316,6 +309,9 @@ func (c *Cache) onHit(setIdx mem.SetIdx, way int, set []Block, acc mem.Access) R
 	return res
 }
 
+// onMiss fills the policy's victim field by field, in place, and builds
+// its Result once, at the return (DESIGN.md §7, store forwarding).
+//
 //chromevet:hot
 func (c *Cache) onMiss(setIdx mem.SetIdx, set []Block, acc mem.Access) Result {
 	switch acc.Type {
@@ -338,15 +334,15 @@ func (c *Cache) onMiss(setIdx mem.SetIdx, set []Block, acc mem.Access) Result {
 		if c.bypassTracker != nil {
 			c.bypassTracker.Record(acc.Addr)
 		}
-		return Result{Bypassed: true}
+		return Result{}
 	}
 	if way < 0 || way >= c.cfg.Ways {
 		panic(fmt.Sprintf("cache %s: policy %s returned invalid victim way %d", c.cfg.Name, c.policy.Name(), way))
 	}
 
-	res := Result{}
 	victim := &set[way]
-	if victim.Valid {
+	evicted, evictedAddr, evictedDirty := victim.Valid, victim.Tag.Addr(), victim.Valid && victim.Dirty
+	if evicted {
 		c.stats.Evictions++
 		if !victim.Used {
 			c.stats.EvictionsUnused++
@@ -354,37 +350,29 @@ func (c *Cache) onMiss(setIdx mem.SetIdx, set []Block, acc mem.Access) Result {
 				c.stats.EvictionsUnusedPF++
 			}
 			if c.evictTracker != nil {
-				c.evictTracker.Record(victim.Tag.Addr())
+				c.evictTracker.Record(evictedAddr)
 			}
 		}
-		if victim.Dirty {
+		if evictedDirty {
 			c.stats.Writebacks++
-		}
-		res.EvictedValid = true
-		res.Evicted = Evicted{
-			Addr:       victim.Tag.Addr(),
-			Dirty:      victim.Dirty,
-			Used:       victim.Used,
-			Prefetched: victim.Prefetched,
 		}
 		c.policy.OnEvict(setIdx, way, set)
 	}
 
-	*victim = Block{
-		Valid:      true,
-		Tag:        acc.Addr.Block(),
-		Dirty:      acc.Type == mem.Store,
-		Prefetched: acc.Type == mem.Prefetch,
-		LastTouch:  acc.Cycle,
-		FillEpoch:  c.epoch,
-	}
+	victim.Tag = acc.Addr.Block()
+	victim.LastTouch = acc.Cycle
+	victim.ReadyAt = 0
+	victim.FillEpoch = c.epoch
+	victim.Valid = true
+	victim.Dirty = acc.Type == mem.Store
+	victim.Prefetched = acc.Type == mem.Prefetch
+	victim.Used = false
 	c.stats.Fills++
 	if acc.Type == mem.Prefetch {
 		c.stats.PrefetchFills++
 	}
-	res.Block = victim
 	c.policy.OnFill(setIdx, way, set, acc)
-	return res
+	return Result{EvictedValid: evicted, Evicted: Evicted{Addr: evictedAddr, Dirty: evictedDirty}, Block: victim}
 }
 
 // ReuseTracker records a set of block addresses (unused evictions for

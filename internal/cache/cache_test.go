@@ -114,7 +114,7 @@ func TestWritebackNeverAllocates(t *testing.T) {
 func TestBypassDoesNotFill(t *testing.T) {
 	c := New(Config{Name: "T", Sets: 4, Ways: 2}, &bypassAll{})
 	res := c.Access(load(0x40, 1))
-	if !res.Bypassed || res.Block != nil {
+	if res.Hit || res.Block != nil {
 		t.Fatalf("expected bypass with nil block, got %+v", res)
 	}
 	if c.Probe(0x40) {
@@ -136,8 +136,7 @@ func TestPrefetchUsefulAccounting(t *testing.T) {
 	if c.Stats().PrefetchUseful != 0 {
 		t.Fatal("prefetch hits must not count as useful")
 	}
-	res := c.Access(load(0x40, 3))
-	if !res.FirstUse || c.Stats().PrefetchUseful != 1 {
+	if res := c.Access(load(0x40, 3)); !res.Hit || c.Stats().PrefetchUseful != 1 {
 		t.Fatal("first demand hit on a prefetched line must count as useful")
 	}
 	// Second demand hit must not double count.
@@ -183,6 +182,7 @@ func TestConfigValidation(t *testing.T) {
 		{Name: "x", Sets: 0, Ways: 1},
 		{Name: "x", Sets: 3, Ways: 1},
 		{Name: "x", Sets: 4, Ways: 0},
+		{Name: "x", Sets: 4, Ways: MaxWays + 1},
 	} {
 		func() {
 			defer func() {
@@ -201,6 +201,7 @@ func TestConfigValidation(t *testing.T) {
 		}()
 		New(Config{Name: "x", Sets: 4, Ways: 1}, nil)
 	}()
+	New(Config{Name: "x", Sets: 4, Ways: MaxWays}, &lruPolicy{}) // the widest set the victim keys allow
 }
 
 func TestSetIndexWithinRange(t *testing.T) {

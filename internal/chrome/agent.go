@@ -287,24 +287,27 @@ func (a *Agent) Victim(set mem.SetIdx, blocks []cache.Block, acc mem.Access) (in
 
 // victimByEPV returns the first invalid way or, when the set is full, the
 // line with the highest eviction priority value; ties break toward the
-// least recently touched line. (No aging: evicting the max-EPV line
-// directly preserves the learned priorities of the remaining lines; see
-// DESIGN.md §4, item 2.)
+// least recently touched line, then the lowest way. (No aging: evicting the
+// max-EPV line directly preserves the learned priorities of the remaining
+// lines; see DESIGN.md §4, item 2.) The answer is the minimum of one key
+// per way, w when invalid and (3-EPV)<<59 | (LastTouch+1)<<5 | w when
+// valid, taken with no data-dependent branch or early exit (DESIGN.md §7).
+// cache.MaxWays keeps w in bits 0-4; the keys hold while LastTouch+1 <
+// 2^54, about 52 simulated days at 4 GHz.
 //
 //chromevet:hot
 func (a *Agent) victimByEPV(set mem.SetIdx, blocks []cache.Block) int {
 	epv := a.epv[set]
-	best, bestEPV, bestTouch := 0, int(-1), ^mem.Cycle(0)
+	blocks = blocks[:len(epv)]
+	best := ^uint64(0)
 	for w := range epv {
+		key := uint64(3-epv[w]&3)<<59 | (blocks[w].LastTouch.Uint64()+1)<<5 | uint64(w)
 		if !blocks[w].Valid {
-			return w
+			key = uint64(w)
 		}
-		e := int(epv[w])
-		if e > bestEPV || (e == bestEPV && blocks[w].LastTouch < bestTouch) {
-			best, bestEPV, bestTouch = w, e, blocks[w].LastTouch
-		}
+		best = min(best, key)
 	}
-	return best
+	return int(best % cache.MaxWays)
 }
 
 // OnHit implements cache.Policy for LLC hits: the Algorithm-1 step chooses

@@ -1,6 +1,7 @@
 package chrome
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"chrome/internal/cache"
@@ -215,6 +216,86 @@ func TestVictimPrefersHighestEPV(t *testing.T) {
 	if w := a.victimByEPV(0, blocks); w != 1 {
 		t.Fatalf("victim = %d, want way 1 (first invalid way)", w)
 	}
+}
+
+// scanVictimByEPV is the reference for victimByEPV: the early-exit scan it
+// replaced, which returns the first invalid way, else the highest EPV, the
+// oldest LastTouch among those, the first way among those.
+func scanVictimByEPV(epv []uint8, blocks []cache.Block) int {
+	best, bestEPV, bestTouch := 0, int(-1), ^mem.Cycle(0)
+	for w := range epv {
+		if !blocks[w].Valid {
+			return w
+		}
+		e := int(epv[w])
+		if e > bestEPV || (e == bestEPV && blocks[w].LastTouch < bestTouch) {
+			best, bestEPV, bestTouch = w, e, blocks[w].LastTouch
+		}
+	}
+	return best
+}
+
+// TestVictimByEPVMatchesScan holds the branch-free victimByEPV to the
+// early-exit scan on named edge cases and on random sets: empty, full and
+// mixed, 1 to cache.MaxWays ways, all four EPVs, and LastTouch from a
+// narrow range (ties and 0) or up to the largest the packed keys allow
+// (LastTouch+1 < 2^54).
+func TestVictimByEPVMatchesScan(t *testing.T) {
+	type way struct {
+		valid bool
+		epv   uint8
+		touch uint64
+	}
+	cases := []struct {
+		name string
+		ways []way
+	}{
+		{"empty", make([]way, 12)},
+		{"full-epv-order", []way{{true, 1, 1}, {true, 3, 9}, {true, 2, 0}, {true, 3, 9}}},
+		{"full-epv-tie-oldest", []way{{true, 2, 8}, {true, 2, 3}, {true, 2, 3}, {true, 1, 0}}},
+		{"full-touch-zero", []way{{true, 0, 0}, {true, 0, 0}, {true, 0, 5}}},
+		{"epv3-touch-zero-before-invalid", []way{{true, 3, 0}, {true, 3, 0}, {}, {}}},
+		{"invalid-after-evictable", []way{{true, 3, 1}, {}, {true, 2, 0}}},
+		{"max-touch", []way{{true, 0, 1<<54 - 2}, {true, 0, 1<<54 - 3}, {true, 0, 1<<54 - 2}}},
+		{"widest-set", append(make([]way, cache.MaxWays-1), way{true, 3, 1<<54 - 2})},
+	}
+	check := func(t *testing.T, epv []uint8, blocks []cache.Block) {
+		t.Helper()
+		a := &Agent{epv: [][]uint8{epv}}
+		if got, want := a.victimByEPV(0, blocks), scanVictimByEPV(epv, blocks); got != want {
+			t.Fatalf("victimByEPV = %d, scan = %d on EPVs %v, blocks %+v", got, want, epv, blocks)
+		}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			epv := make([]uint8, len(tc.ways))
+			blocks := make([]cache.Block, len(tc.ways))
+			for w, x := range tc.ways {
+				epv[w] = x.epv
+				blocks[w] = cache.Block{Valid: x.valid, LastTouch: mem.CycleOf(x.touch)}
+			}
+			check(t, epv, blocks)
+		})
+	}
+	t.Run("random", func(t *testing.T) {
+		r := rand.New(rand.NewPCG(3, 4))
+		for i := 0; i < 20000; i++ {
+			n := 1 + r.IntN(cache.MaxWays)
+			epv, blocks := make([]uint8, n), make([]cache.Block, n)
+			pValid := []float64{0, 1, 0.8, 0.5}[r.IntN(4)]
+			for w := range blocks {
+				epv[w] = uint8(r.IntN(4))
+				if r.Float64() < pValid {
+					touch := r.Uint64N(4)
+					if r.IntN(2) == 0 {
+						touch = r.Uint64N(1<<54 - 1)
+					}
+					blocks[w] = cache.Block{Valid: true, LastTouch: mem.CycleOf(touch)}
+				}
+			}
+			check(t, epv, blocks)
+		}
+	})
 }
 
 func TestUPKSA(t *testing.T) {

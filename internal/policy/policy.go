@@ -54,18 +54,20 @@ func rripVictim(blocks []cache.Block, rrpv []uint8) int {
 }
 
 // lruWay returns the first invalid way or, when the set is full, the way
-// with the oldest LastTouch, in one pass over the set.
+// with the oldest LastTouch, the lowest way on ties: the minimum of one key
+// per way, w when invalid and (LastTouch+1)<<5 | w when valid, taken with
+// no data-dependent branch or early exit (DESIGN.md §7). Like victimByEPV's,
+// the keys hold while LastTouch+1 < 2^54, about 52 simulated days at 4 GHz.
 func lruWay(blocks []cache.Block) int {
-	best, bestTouch := 0, ^mem.Cycle(0)
+	best := ^uint64(0)
 	for w := range blocks {
+		key := (blocks[w].LastTouch.Uint64()+1)<<5 | uint64(w)
 		if !blocks[w].Valid {
-			return w
+			key = uint64(w)
 		}
-		if blocks[w].LastTouch < bestTouch {
-			best, bestTouch = w, blocks[w].LastTouch
-		}
+		best = min(best, key)
 	}
-	return best
+	return int(best % cache.MaxWays)
 }
 
 // Signature folds a PC, a prefetch flag, and a core id into the hashed PC

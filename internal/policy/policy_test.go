@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -141,6 +142,82 @@ func TestLRUVictimPrefersFirstInvalid(t *testing.T) {
 	if w, _ := NewLRU().Victim(0, blocks, mem.Access{}); w != 0 {
 		t.Fatalf("victim = %d, want way 0 (oldest LastTouch)", w)
 	}
+}
+
+// scanLRUWay is the reference for lruWay: the early-exit scan it replaced,
+// which returns the first invalid way, else the first way with the oldest
+// LastTouch.
+func scanLRUWay(blocks []cache.Block) int {
+	best, bestTouch := 0, ^mem.Cycle(0)
+	for w := range blocks {
+		if !blocks[w].Valid {
+			return w
+		}
+		if blocks[w].LastTouch < bestTouch {
+			best, bestTouch = w, blocks[w].LastTouch
+		}
+	}
+	return best
+}
+
+// randomSet draws a set of 1 to cache.MaxWays ways: empty, full or mixed,
+// with LastTouch from a narrow range (ties and 0) or up to the largest the
+// packed keys allow (LastTouch+1 < 2^54).
+func randomSet(r *rand.Rand) []cache.Block {
+	blocks := make([]cache.Block, 1+r.IntN(cache.MaxWays))
+	pValid := []float64{0, 1, 0.8, 0.5}[r.IntN(4)]
+	for w := range blocks {
+		if r.Float64() < pValid {
+			touch := r.Uint64N(4)
+			if r.IntN(2) == 0 {
+				touch = r.Uint64N(1<<54 - 1)
+			}
+			blocks[w] = cache.Block{Valid: true, LastTouch: mem.CycleOf(touch)}
+		}
+	}
+	return blocks
+}
+
+// TestLRUWayMatchesScan holds the branch-free lruWay to the early-exit scan
+// on named edge cases and on random sets.
+func TestLRUWayMatchesScan(t *testing.T) {
+	valid := func(touch ...uint64) []cache.Block {
+		var b []cache.Block
+		for _, c := range touch {
+			b = append(b, cache.Block{Valid: true, LastTouch: mem.CycleOf(c)})
+		}
+		return b
+	}
+	cases := []struct {
+		name   string
+		blocks []cache.Block
+	}{
+		{"empty", make([]cache.Block, 12)},
+		{"one-way", valid(7)},
+		{"full-distinct", valid(9, 3, 5, 8)},
+		{"full-equal-touch", valid(4, 4, 4, 4)},
+		{"full-touch-zero", valid(3, 0, 0, 2)},
+		{"touch-zero-before-invalid", append(valid(0, 0), cache.Block{}, cache.Block{})},
+		{"invalid-after-older-valid", append(valid(1, 9), cache.Block{}, cache.Block{Valid: true})},
+		{"max-touch", valid(1<<54-2, 1<<54-3, 1<<54-2)},
+		{"widest-set", append(valid(make([]uint64, cache.MaxWays-1)...), cache.Block{})},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got, want := lruWay(tc.blocks), scanLRUWay(tc.blocks); got != want {
+				t.Fatalf("lruWay = %d, scan = %d on %+v", got, want, tc.blocks)
+			}
+		})
+	}
+	t.Run("random", func(t *testing.T) {
+		r := rand.New(rand.NewPCG(1, 2))
+		for i := 0; i < 20000; i++ {
+			blocks := randomSet(r)
+			if got, want := lruWay(blocks), scanLRUWay(blocks); got != want {
+				t.Fatalf("set %d: lruWay = %d, scan = %d on %+v", i, got, want, blocks)
+			}
+		}
+	})
 }
 
 func TestSRRIPPromotionAndAging(t *testing.T) {

@@ -140,9 +140,10 @@ func (d *DRAM) AvgLatency() float64 {
 //
 // busy is kept as a binary min-heap on completion cycle, so pruning
 // completed entries pops only what expired (amortized O(1) per access)
-// instead of rescanning the whole file; the file holds a *multiset* of
-// completion times — prune drops every entry ≤ now and acquire reads the
-// minimum, both order-independent — so the heap layout changes no result.
+// instead of rescanning the whole file, which read slower at 16 cores
+// (DESIGN.md §7). The file holds a *multiset* of completion times: prune
+// drops every entry ≤ now and acquire reads the minimum, both
+// order-independent, so the heap layout changes no result.
 type mshr struct {
 	cap  int
 	busy []mem.Cycle // min-heap of completion cycles of outstanding misses
@@ -168,17 +169,11 @@ func (m *mshr) acquire(start mem.Cycle) mem.Cycle {
 	m.noteAcquire()
 	m.prune(start)
 	for len(m.busy) >= m.cap {
-		// The heap minimum is the earliest outstanding completion; it is
-		// > start, because prune just removed everything ≤ start.
-		if earliest := m.busy[0]; earliest > start {
-			start = earliest
-		}
+		// The heap minimum is > start, because prune just removed
+		// everything ≤ start; pruning at it frees at least that entry.
+		start = m.busy[0]
 		m.stalls++
 		m.prune(start)
-		if len(m.busy) < m.cap {
-			break
-		}
-		// All entries complete at exactly `start`; prune removed them.
 	}
 	return start
 }

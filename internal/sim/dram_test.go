@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -160,5 +162,105 @@ func TestMSHRAcquireMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// heapMSHR is the reference for mshr: the same heap, whose acquire loop
+// also re-checks that the minimum lies past start and breaks once the file
+// has room.
+type heapMSHR struct {
+	cap    int
+	busy   []mem.Cycle
+	stalls uint64
+}
+
+func (m *heapMSHR) acquire(start mem.Cycle) mem.Cycle {
+	m.prune(start)
+	for len(m.busy) >= m.cap {
+		if earliest := m.busy[0]; earliest > start {
+			start = earliest
+		}
+		m.stalls++
+		m.prune(start)
+	}
+	return start
+}
+
+func (m *heapMSHR) commit(complete mem.Cycle) {
+	m.busy = append(m.busy, complete)
+	for i := len(m.busy) - 1; i > 0; {
+		p := (i - 1) / 2
+		if m.busy[p] <= m.busy[i] {
+			break
+		}
+		m.busy[p], m.busy[i] = m.busy[i], m.busy[p]
+		i = p
+	}
+}
+
+func (m *heapMSHR) prune(now mem.Cycle) {
+	for len(m.busy) > 0 && m.busy[0] <= now {
+		last := len(m.busy) - 1
+		m.busy[0] = m.busy[last]
+		m.busy = m.busy[:last]
+		for i := 0; ; {
+			l := 2*i + 1
+			if l >= last {
+				break
+			}
+			if r := l + 1; r < last && m.busy[r] < m.busy[l] {
+				l = r
+			}
+			if m.busy[i] <= m.busy[l] {
+				break
+			}
+			m.busy[i], m.busy[l] = m.busy[l], m.busy[i]
+			i = l
+		}
+	}
+}
+
+// TestMSHRMatchesHeap holds mshr to the reference: every acquire must
+// return the same start cycle and leave the same stall count and occupancy.
+// A named sequence drains the file and refills it; the random sequences,
+// one per capacity, acquire out of cycle order, as the interleaved cores
+// do, with latencies short enough to tie and long enough to fill the file
+// and stall.
+func TestMSHRMatchesHeap(t *testing.T) {
+	type op struct{ start, latency mem.Cycle }
+	run := func(t *testing.T, capacity int, ops []op) uint64 {
+		t.Helper()
+		m, ref := newMSHR(capacity), &heapMSHR{cap: capacity}
+		for i, o := range ops {
+			got, want := m.acquire(o.start), ref.acquire(o.start)
+			if got != want || m.stalls != ref.stalls || len(m.busy) != len(ref.busy) {
+				t.Fatalf("op %d acquire(%d): start %d, stalls %d, occupancy %d; reference: %d, %d, %d",
+					i, o.start, got, m.stalls, len(m.busy), want, ref.stalls, len(ref.busy))
+			}
+			m.commit(got + o.latency)
+			ref.commit(want + o.latency)
+		}
+		return ref.stalls
+	}
+	t.Run("drained-then-refilled", func(t *testing.T) {
+		run(t, 1, []op{{0, 100}, {150, 150}, {200, 10}, {400, 1}})
+	})
+	for _, capacity := range []int{1, 16, 48, 256, 1024} {
+		t.Run(fmt.Sprintf("cap=%d", capacity), func(t *testing.T) {
+			r := rand.New(rand.NewPCG(uint64(capacity), 5))
+			ops := make([]op, 20000)
+			clock := uint64(1000)
+			for i := range ops {
+				clock += r.Uint64N(4)
+				latency := 1 + r.Uint64N(8)
+				if r.IntN(2) == 0 {
+					latency = 1 + r.Uint64N(8*uint64(capacity)+100)
+				}
+				ops[i] = op{mem.CycleOf(clock - r.Uint64N(64)), mem.CycleOf(latency)}
+			}
+			if stalls := run(t, capacity, ops); stalls == 0 {
+				t.Fatalf("no acquire stalled at capacity %d; the sequence does not fill the file", capacity)
+			}
+		})
 	}
 }

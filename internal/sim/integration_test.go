@@ -34,7 +34,7 @@ func TestPrefetchFillsAllLevels(t *testing.T) {
 // for strided traffic that misses L1, and its fills must not enter L1.
 func TestL2PrefetcherOnlyFillsL2AndBelow(t *testing.T) {
 	g := trace.NewStride(trace.StrideConfig{
-		Name: "s", Region: 1, Streams: 1, Strides: []uint64{256}, Size: 32 << 20, Seed: 1,
+		Name: "s", Region: 1, Streams: 1, Strides: []uint64{256}, Size: 32 << 20,
 	})
 	cfg := ScaledConfig(1)
 	cfg.L2Prefetcher = func() prefetch.Prefetcher { return prefetch.NewStride(2) }

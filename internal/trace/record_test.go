@@ -21,7 +21,7 @@ func recordFamilies(seed uint64) map[string]func() Generator {
 			return NewStream(StreamConfig{Name: "s", Region: 1, Size: 1 << 20, Gap: 2, Writes: 0.3, Seed: seed})
 		},
 		"stride": func() Generator {
-			return NewStride(StrideConfig{Name: "st", Region: 2, Streams: 3, Size: 1 << 20, Gap: 2, Writes: 1, Seed: seed})
+			return NewStride(StrideConfig{Name: "st", Region: 2, Streams: 3, Size: 1 << 20, Gap: 2, Writes: 1})
 		},
 		"workingset": func() Generator {
 			return NewWorkingSet(WorkingSetConfig{Name: "ws", Region: 3, Size: 1 << 20, HotFrac: 0.5, Gap: 3, Writes: 0.2, Seed: seed})
@@ -38,7 +38,7 @@ func recordFamilies(seed uint64) map[string]func() Generator {
 		"phased": func() Generator {
 			return NewPhased("ph", 500,
 				NewStream(StreamConfig{Name: "a", Region: 7, Size: 1 << 20, Gap: 1, Seed: seed}),
-				NewStride(StrideConfig{Name: "b", Region: 8, Streams: 2, Size: 1 << 20, Gap: 2, Seed: seed}),
+				NewStride(StrideConfig{Name: "b", Region: 8, Streams: 2, Size: 1 << 20, Gap: 2}),
 			)
 		},
 		"graph": func() Generator {

@@ -184,8 +184,7 @@ type StrideConfig struct {
 	Strides []uint64 // per-stream stride in bytes (cycled if shorter)
 	Size    uint64   // per-stream region size in bytes
 	Gap     uint8
-	Writes  int    // number of streams that are store streams
-	Seed    uint64 // accepted like every generator's; the streams draw nothing random
+	Writes  int // number of streams that are store streams
 }
 
 // NewStride builds a multi-stream strided generator.

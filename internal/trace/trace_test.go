@@ -32,7 +32,7 @@ func sameRecords(a, b []Record) bool {
 func generators() []Generator {
 	return []Generator{
 		NewStream(StreamConfig{Name: "s", Region: 1, Size: 1 << 20, Writes: 0.3, Seed: 7}),
-		NewStride(StrideConfig{Name: "st", Region: 2, Streams: 3, Size: 1 << 20, Writes: 1, Seed: 7}),
+		NewStride(StrideConfig{Name: "st", Region: 2, Streams: 3, Size: 1 << 20, Writes: 1}),
 		NewWorkingSet(WorkingSetConfig{Name: "ws", Region: 3, Size: 1 << 20, HotFrac: 0.5, Writes: 0.2, Seed: 7}),
 		NewPointerChase(PointerChaseConfig{Name: "pc", Region: 4, Size: 1 << 20, AuxFrac: 0.5, Seed: 7}),
 		NewMixed("mx", 7, []Generator{
@@ -283,7 +283,7 @@ func TestStreamWriteFraction(t *testing.T) {
 }
 
 func TestStrideStreamsUseDistinctPCs(t *testing.T) {
-	g := NewStride(StrideConfig{Name: "st", Region: 1, Streams: 4, Size: 1 << 20, Seed: 5})
+	g := NewStride(StrideConfig{Name: "st", Region: 1, Streams: 4, Size: 1 << 20})
 	pcs := map[mem.PC]bool{}
 	for i := 0; i < 100; i++ {
 		pcs[g.Next().PC] = true

@@ -191,11 +191,11 @@ func init() {
 			HotFrac: 0.55, Gap: 3, Writes: 0.25, PCs: 24, Seed: seed,
 		})
 	})
-	register("bwaves", SPEC06, func(rg, seed uint64) trace.Generator {
+	register("bwaves", SPEC06, func(rg, _ uint64) trace.Generator {
 		return trace.NewStride(trace.StrideConfig{
 			Name: "bwaves", Region: rg, Streams: 6,
 			Strides: []uint64{64, 64, 128, 192, 64, 256}, Size: 12 << 20,
-			Gap: 2, Writes: 1, Seed: seed,
+			Gap: 2, Writes: 1,
 		})
 	})
 	register("mcf", SPEC06, func(rg, seed uint64) trace.Generator {
@@ -213,10 +213,10 @@ func init() {
 			Name: "milc", Region: rg, Size: 32 << 20, Stride: 64, Gap: 2, Writes: 0.3, Seed: seed,
 		})
 	})
-	register("zeusmp", SPEC06, func(rg, seed uint64) trace.Generator {
+	register("zeusmp", SPEC06, func(rg, _ uint64) trace.Generator {
 		return trace.NewStride(trace.StrideConfig{
 			Name: "zeusmp", Region: rg, Streams: 4,
-			Strides: []uint64{64, 128, 128, 64}, Size: 10 << 20, Gap: 3, Writes: 1, Seed: seed,
+			Strides: []uint64{64, 128, 128, 64}, Size: 10 << 20, Gap: 3, Writes: 1,
 		})
 	})
 	register("gromacs", SPEC06, func(rg, seed uint64) trace.Generator {
@@ -225,10 +225,10 @@ func init() {
 			HotFrac: 0.7, Gap: 4, Writes: 0.2, PCs: 12, Seed: seed,
 		})
 	})
-	register("leslie3d", SPEC06, func(rg, seed uint64) trace.Generator {
+	register("leslie3d", SPEC06, func(rg, _ uint64) trace.Generator {
 		return trace.NewStride(trace.StrideConfig{
 			Name: "leslie3d", Region: rg, Streams: 5,
-			Strides: []uint64{64, 192, 64, 320, 128}, Size: 16 << 20, Gap: 2, Writes: 1, Seed: seed,
+			Strides: []uint64{64, 192, 64, 320, 128}, Size: 16 << 20, Gap: 2, Writes: 1,
 		})
 	})
 	register("soplex", SPEC06, func(rg, seed uint64) trace.Generator {
@@ -238,7 +238,7 @@ func init() {
 				HotFrac: 0.35, Gap: 2, Writes: 0.2, PCs: 16, Seed: seed,
 			}),
 			trace.NewStride(trace.StrideConfig{
-				Name: "soplex-str", Region: rg + 64, Streams: 3, Size: 6 << 20, Gap: 2, Seed: seed,
+				Name: "soplex-str", Region: rg + 64, Streams: 3, Size: 6 << 20, Gap: 2,
 			}),
 		}, []float64{0.6, 0.4})
 	})
@@ -248,11 +248,11 @@ func init() {
 			HotFrac: 0.75, Gap: 5, Writes: 0.35, PCs: 6, Seed: seed,
 		})
 	})
-	register("GemsFDTD", SPEC06, func(rg, seed uint64) trace.Generator {
+	register("GemsFDTD", SPEC06, func(rg, _ uint64) trace.Generator {
 		return trace.NewStride(trace.StrideConfig{
 			Name: "GemsFDTD", Region: rg, Streams: 8,
 			Strides: []uint64{64, 64, 128, 448, 64, 128, 64, 896}, Size: 20 << 20,
-			Gap: 2, Writes: 2, Seed: seed,
+			Gap: 2, Writes: 2,
 		})
 	})
 	register("libquantum", SPEC06, func(rg, seed uint64) trace.Generator {
@@ -289,11 +289,11 @@ func init() {
 			HotFrac: 0.5, Gap: 3, Writes: 0.25, PCs: 32, Seed: seed,
 		})
 	})
-	register("bwaves17", SPEC17, func(rg, seed uint64) trace.Generator {
+	register("bwaves17", SPEC17, func(rg, _ uint64) trace.Generator {
 		return trace.NewStride(trace.StrideConfig{
 			Name: "bwaves17", Region: rg, Streams: 7,
 			Strides: []uint64{64, 128, 64, 64, 192, 64, 128}, Size: 14 << 20,
-			Gap: 2, Writes: 2, Seed: seed,
+			Gap: 2, Writes: 2,
 		})
 	})
 	register("mcf17", SPEC17, func(rg, seed uint64) trace.Generator {
@@ -306,11 +306,11 @@ func init() {
 			}),
 		}, []float64{0.65, 0.35})
 	})
-	register("cactusBSSN", SPEC17, func(rg, seed uint64) trace.Generator {
+	register("cactusBSSN", SPEC17, func(rg, _ uint64) trace.Generator {
 		return trace.NewStride(trace.StrideConfig{
 			Name: "cactusBSSN", Region: rg, Streams: 9,
 			Strides: []uint64{64, 64, 128, 64, 256, 64, 128, 512, 64}, Size: 18 << 20,
-			Gap: 2, Writes: 3, Seed: seed,
+			Gap: 2, Writes: 3,
 		})
 	})
 	register("lbm", SPEC17, func(rg, seed uint64) trace.Generator {
@@ -331,7 +331,7 @@ func init() {
 	register("wrf17", SPEC17, func(rg, seed uint64) trace.Generator {
 		return trace.NewPhased("wrf17", 60000,
 			trace.NewStride(trace.StrideConfig{
-				Name: "wrf17-str", Region: rg, Streams: 4, Size: 12 << 20, Gap: 2, Writes: 1, Seed: seed,
+				Name: "wrf17-str", Region: rg, Streams: 4, Size: 12 << 20, Gap: 2, Writes: 1,
 			}),
 			trace.NewWorkingSet(trace.WorkingSetConfig{
 				Name: "wrf17-ws", Region: rg + 64, Size: 5 << 20, HotFrac: 0.45, Gap: 3, Writes: 0.2, PCs: 14, Seed: seed,
@@ -344,10 +344,10 @@ func init() {
 			HotFrac: 0.45, Gap: 3, Writes: 0.15, PCs: 48, Seed: seed,
 		})
 	})
-	register("cam4", SPEC17, func(rg, seed uint64) trace.Generator {
+	register("cam4", SPEC17, func(rg, _ uint64) trace.Generator {
 		return trace.NewStride(trace.StrideConfig{
 			Name: "cam4", Region: rg, Streams: 6,
-			Strides: []uint64{64, 128, 192, 64, 128, 64}, Size: 9 << 20, Gap: 3, Writes: 2, Seed: seed,
+			Strides: []uint64{64, 128, 192, 64, 128, 64}, Size: 9 << 20, Gap: 3, Writes: 2,
 		})
 	})
 	register("pop2", SPEC17, func(rg, seed uint64) trace.Generator {
@@ -356,7 +356,7 @@ func init() {
 				Name: "pop2-stream", Region: rg, Size: 16 << 20, Gap: 2, Writes: 0.3, Seed: seed,
 			}),
 			trace.NewStride(trace.StrideConfig{
-				Name: "pop2-str", Region: rg + 64, Streams: 3, Size: 6 << 20, Gap: 3, Seed: seed,
+				Name: "pop2-str", Region: rg + 64, Streams: 3, Size: 6 << 20, Gap: 3,
 			}),
 		)
 	})
@@ -365,10 +365,10 @@ func init() {
 			Name: "fotonik3d", Region: rg, Size: 40 << 20, Stride: 48, Gap: 2, Writes: 0.35, Seed: seed,
 		})
 	})
-	register("roms", SPEC17, func(rg, seed uint64) trace.Generator {
+	register("roms", SPEC17, func(rg, _ uint64) trace.Generator {
 		return trace.NewStride(trace.StrideConfig{
 			Name: "roms", Region: rg, Streams: 5,
-			Strides: []uint64{64, 64, 128, 64, 192}, Size: 22 << 20, Gap: 2, Writes: 1, Seed: seed,
+			Strides: []uint64{64, 64, 128, 64, 192}, Size: 22 << 20, Gap: 2, Writes: 1,
 		})
 	})
 	register("xz", SPEC17, func(rg, seed uint64) trace.Generator {
