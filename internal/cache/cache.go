@@ -15,7 +15,9 @@ import (
 // by size and hold no pointers, so a Block is 32 bytes and a 12-way set
 // spans six host cache lines (DESIGN.md §7, TestBlockSize).
 type Block struct {
-	// Tag is the block number (full address >> BlockShift).
+	// Tag is the block number (full address >> BlockShift). An invalid way
+	// holds invalidTag, which no address has, so a tag compare alone tells
+	// a hit.
 	Tag mem.BlockAddr
 	// LastTouch is the cycle of the most recent access (LRU recency).
 	LastTouch mem.Cycle
@@ -130,6 +132,10 @@ type Config struct {
 // a way index into a key's low five bits (DESIGN.md §7).
 const MaxWays = 32
 
+// invalidTag is the tag of every invalid way. A block number is an address
+// shifted right by BlockShift, at most 2^58−1, so no access matches it.
+const invalidTag = ^mem.BlockAddr(0)
+
 // Result reports the outcome of one access. A bypass and a first use of a
 // prefetched line show in Stats (Bypasses, PrefetchUseful).
 //
@@ -165,8 +171,11 @@ type Cache struct {
 	setMask uint64
 	blocks  []Block // sets*ways, row-major by set
 	policy  Policy
-	stats   Stats
-	epoch   uint32 // stats generation, bumped by ResetStats
+	// lru is set when policy is *LRU: the tag pass picks the victim and no
+	// policy hook is called.
+	lru   bool
+	stats Stats
+	epoch uint32 // stats generation, bumped by ResetStats
 
 	// evictTracker, when non-nil, records unused evictions so Fig. 2's
 	// "re-requested later" split can be measured.
@@ -190,11 +199,17 @@ func New(cfg Config, p Policy) *Cache {
 	if p == nil {
 		panic("cache: nil policy")
 	}
+	blocks := make([]Block, cfg.Sets*cfg.Ways)
+	for i := range blocks {
+		blocks[i].Tag = invalidTag
+	}
+	_, lru := p.(*LRU)
 	return &Cache{
 		cfg:     cfg,
 		setMask: uint64(cfg.Sets - 1),
-		blocks:  make([]Block, cfg.Sets*cfg.Ways),
+		blocks:  blocks,
 		policy:  p,
+		lru:     lru,
 	}
 }
 
@@ -238,7 +253,7 @@ func (c *Cache) set(idx mem.SetIdx) []Block {
 func (c *Cache) Probe(a mem.Addr) bool {
 	tag := a.Block()
 	for _, b := range c.set(c.SetIndex(a)) {
-		if b.Valid && b.Tag == tag {
+		if b.Tag == tag {
 			return true
 		}
 	}
@@ -268,16 +283,42 @@ func (c *Cache) Access(acc mem.Access) Result {
 		}
 	}
 
-	for w := range set {
-		if b := &set[w]; b.Valid && b.Tag == tag {
-			res := c.onHit(setIdx, w, set, acc)
-			c.checkSet(setIdx)
-			return res
-		}
+	var res Result
+	if hit, victim := scan(set, tag); hit >= 0 {
+		res = c.onHit(setIdx, hit, set, acc)
+	} else {
+		res = c.onMiss(setIdx, set, acc, victim)
 	}
-	res := c.onMiss(setIdx, set, acc)
 	c.checkSet(setIdx)
 	return res
+}
+
+// scan is the tag pass: one loop over the set with no early exit that
+// returns the way holding tag (-1 if none) and the LRU victim, the first
+// invalid way or, when the set is full, the way with the oldest LastTouch,
+// the lowest on ties. The victim is the minimum of one key per way, w when
+// invalid and (LastTouch+1)<<5 | w when valid, so the loop compiles to
+// compares and conditional moves (DESIGN.md §7); the keys hold while
+// LastTouch+1 < 2^54, about 52 simulated days at 4 GHz. The pass keeps the
+// last way that matches, which is the only one: a set never holds two
+// valid copies of a tag (simcheck's checkSet), and invalid ways hold
+// invalidTag.
+//
+//chromevet:hot
+func scan(set []Block, tag mem.BlockAddr) (hit, victim int) {
+	hit, best := -1, ^uint64(0)
+	for w := range set {
+		b := &set[w]
+		if b.Tag == tag {
+			hit = w
+		}
+		key := (b.LastTouch.Uint64()+1)<<5 | uint64(w)
+		if !b.Valid {
+			key = uint64(w)
+		}
+		best = min(best, key)
+	}
+	return hit, int(best % MaxWays)
 }
 
 //chromevet:hot
@@ -305,15 +346,19 @@ func (c *Cache) onHit(setIdx mem.SetIdx, way int, set []Block, acc mem.Access) R
 		}
 		b.Used = true
 	}
-	c.policy.OnHit(setIdx, way, set, acc)
+	if !c.lru {
+		c.policy.OnHit(setIdx, way, set, acc)
+	}
 	return res
 }
 
-// onMiss fills the policy's victim field by field, in place, and builds
-// its Result once, at the return (DESIGN.md §7, store forwarding).
+// onMiss fills the victim field by field, in place, and builds its Result
+// once, at the return (DESIGN.md §7, store forwarding). The victim is
+// lruVictim, the tag pass's, when the policy is LRU, and the policy's
+// otherwise.
 //
 //chromevet:hot
-func (c *Cache) onMiss(setIdx mem.SetIdx, set []Block, acc mem.Access) Result {
+func (c *Cache) onMiss(setIdx mem.SetIdx, set []Block, acc mem.Access, lruVictim int) Result {
 	switch acc.Type {
 	case mem.Load:
 		c.stats.DemandLoadMisses++
@@ -328,16 +373,20 @@ func (c *Cache) onMiss(setIdx mem.SetIdx, set []Block, acc mem.Access) Result {
 		return Result{}
 	}
 
-	way, bypass := c.policy.Victim(setIdx, set, acc)
-	if bypass {
-		c.stats.Bypasses++
-		if c.bypassTracker != nil {
-			c.bypassTracker.Record(acc.Addr)
+	way := lruVictim
+	if !c.lru {
+		var bypass bool
+		way, bypass = c.policy.Victim(setIdx, set, acc)
+		if bypass {
+			c.stats.Bypasses++
+			if c.bypassTracker != nil {
+				c.bypassTracker.Record(acc.Addr)
+			}
+			return Result{}
 		}
-		return Result{}
-	}
-	if way < 0 || way >= c.cfg.Ways {
-		panic(fmt.Sprintf("cache %s: policy %s returned invalid victim way %d", c.cfg.Name, c.policy.Name(), way))
+		if way < 0 || way >= c.cfg.Ways {
+			panic(fmt.Sprintf("cache %s: policy %s returned invalid victim way %d", c.cfg.Name, c.policy.Name(), way))
+		}
 	}
 
 	victim := &set[way]
@@ -356,7 +405,9 @@ func (c *Cache) onMiss(setIdx mem.SetIdx, set []Block, acc mem.Access) Result {
 		if evictedDirty {
 			c.stats.Writebacks++
 		}
-		c.policy.OnEvict(setIdx, way, set)
+		if !c.lru {
+			c.policy.OnEvict(setIdx, way, set)
+		}
 	}
 
 	victim.Tag = acc.Addr.Block()
@@ -371,9 +422,37 @@ func (c *Cache) onMiss(setIdx mem.SetIdx, set []Block, acc mem.Access) Result {
 	if acc.Type == mem.Prefetch {
 		c.stats.PrefetchFills++
 	}
-	c.policy.OnFill(setIdx, way, set, acc)
+	if !c.lru {
+		c.policy.OnFill(setIdx, way, set, acc)
+	}
 	return Result{EvictedValid: evicted, Evicted: Evicted{Addr: evictedAddr, Dirty: evictedDirty}, Block: victim}
 }
+
+// LRU is the least-recently-used baseline: evict the way with the oldest
+// LastTouch, the first invalid way while the set has one; never bypass.
+// Recency is the cache's own Block.LastTouch, so the hooks are empty, and a
+// cache whose policy is *LRU takes the victim from its tag pass and calls
+// none of them. A wrapper around LRU is another policy and is called as
+// any other.
+type LRU struct{}
+
+// Name implements Policy.
+func (*LRU) Name() string { return "LRU" }
+
+// Victim implements Policy with the tag pass's victim.
+func (*LRU) Victim(_ mem.SetIdx, blocks []Block, _ mem.Access) (int, bool) {
+	_, way := scan(blocks, invalidTag)
+	return way, false
+}
+
+// OnHit implements Policy.
+func (*LRU) OnHit(mem.SetIdx, int, []Block, mem.Access) {}
+
+// OnFill implements Policy.
+func (*LRU) OnFill(mem.SetIdx, int, []Block, mem.Access) {}
+
+// OnEvict implements Policy.
+func (*LRU) OnEvict(mem.SetIdx, int, []Block) {}
 
 // ReuseTracker records a set of block addresses (unused evictions for
 // Fig. 2, bypassed blocks for Fig. 9) and counts how many are subsequently

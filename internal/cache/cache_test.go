@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -293,6 +294,64 @@ func TestLRUMatchesReference(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFreshCacheMissesBlockZero: a fresh way holds invalidTag, not 0, so
+// the tag pass, which compares tags alone, misses on block address 0 and on
+// the highest block number an address can have.
+func TestFreshCacheMissesBlockZero(t *testing.T) {
+	for _, p := range []Policy{&LRU{}, &lruPolicy{}} {
+		c := New(Config{Name: "T", Sets: 4, Ways: 2}, p)
+		for _, addr := range []mem.Addr{0, ^mem.Addr(0)} {
+			if c.Probe(addr) {
+				t.Fatalf("%s: fresh cache probes %#x present", p.Name(), uint64(addr))
+			}
+			if res := c.Access(load(addr, 1)); res.Hit || res.EvictedValid {
+				t.Fatalf("%s: fresh cache access to %#x: %+v, want a miss into an invalid way", p.Name(), uint64(addr), res)
+			}
+			if res := c.Access(load(addr, 2)); !res.Hit {
+				t.Fatalf("%s: second access to %#x missed", p.Name(), uint64(addr))
+			}
+		}
+	}
+}
+
+// TestLRUTagPassMatchesHooks holds a cache under LRU, which takes its
+// victim from the tag pass and calls no hook, to one whose policy picks
+// the victim with the early-exit scan through the hooks: every access
+// must return the same result and leave the same blocks, over random
+// loads, stores, prefetches and writebacks, with stats reset midway.
+func TestLRUTagPassMatchesHooks(t *testing.T) {
+	for _, ways := range []int{1, 2, 12, MaxWays} {
+		r := rand.New(rand.NewPCG(uint64(ways), 3))
+		cfg := Config{Name: "T", Sets: 4, Ways: ways}
+		got, want := New(cfg, &LRU{}), New(cfg, &lruPolicy{})
+		for i := 0; i < 20000; i++ {
+			acc := mem.Access{
+				PC:    0x400,
+				Addr:  mem.Addr(r.Uint64N(uint64(8*ways)) << mem.BlockShift),
+				Type:  mem.AccessType(r.IntN(4)),
+				Cycle: mem.CycleOf(uint64(i / 3)), // ties in LastTouch
+			}
+			if i == 10000 {
+				got.ResetStats()
+				want.ResetStats()
+			}
+			g, w := got.Access(acc), want.Access(acc)
+			if g.Hit != w.Hit || g.EvictedValid != w.EvictedValid ||
+				(g.EvictedValid && g.Evicted != w.Evicted) || (g.Block == nil) != (w.Block == nil) {
+				t.Fatalf("ways %d access %d %+v: tag pass %+v, hooks %+v", ways, i, acc, g, w)
+			}
+		}
+		for i := range got.blocks {
+			if got.blocks[i] != want.blocks[i] {
+				t.Fatalf("ways %d block %d: tag pass %+v, hooks %+v", ways, i, got.blocks[i], want.blocks[i])
+			}
+		}
+		if *got.Stats() != *want.Stats() {
+			t.Fatalf("ways %d: stats %+v, hooks %+v", ways, *got.Stats(), *want.Stats())
+		}
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 const SimcheckEnabled = true
 
 // checkSet validates one set's invariants after a state transition: no two
-// valid ways may hold the same tag, and a policy implementing
+// valid ways may hold the same tag, every invalid way must hold invalidTag
+// (the tag pass compares tags alone), and a policy implementing
 // InvariantChecker must report its per-set metadata consistent. Violations
 // panic with enough context to localize the corrupting transition. Without
 // -tags simcheck this compiles to an empty function (see simcheck_off.go).
@@ -20,6 +21,10 @@ func (c *Cache) checkSet(idx mem.SetIdx) {
 	set := c.set(idx)
 	for i := range set {
 		if !set[i].Valid {
+			if set[i].Tag != invalidTag {
+				panic(fmt.Sprintf("simcheck: cache %s set %d: invalid way %d holds tag %#x, not the invalid tag",
+					c.cfg.Name, idx, i, set[i].Tag))
+			}
 			continue
 		}
 		for j := i + 1; j < len(set); j++ {

@@ -36,6 +36,16 @@ func TestSimcheckDetectsDuplicateTag(t *testing.T) {
 	expectPanic(t, "duplicate valid tag", func() { c.Access(acc) })
 }
 
+// TestSimcheckDetectsStaleInvalidTag: an invalid way that holds a real tag
+// would hit in the tag pass, which compares tags alone, so the sanitizer
+// rejects it.
+func TestSimcheckDetectsStaleInvalidTag(t *testing.T) {
+	c := simcheckCache(&LRU{})
+	acc := mem.Access{Addr: 0x1000, Type: mem.Load}
+	c.set(c.SetIndex(acc.Addr))[1].Tag = 0
+	expectPanic(t, "not the invalid tag", func() { c.Access(acc) })
+}
+
 // invariantPolicy fails its metadata check on demand.
 type invariantPolicy struct {
 	lruPolicy

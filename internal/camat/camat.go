@@ -40,6 +40,10 @@ type coreState struct {
 	accesses     uint64
 	obstructed   bool // verdict from the previous completed epoch
 
+	// epoch's cycles are [epochStart, epochEnd): a record inside them
+	// needs no divide to find its epoch.
+	epochStart, epochEnd mem.Cycle
+
 	// lifetime aggregates (for reporting)
 	totalActive   uint64
 	totalAccesses uint64
@@ -55,11 +59,15 @@ func New(cores int, tMem float64, epochCycles mem.Cycle) *Monitor {
 	if epochCycles == 0 {
 		epochCycles = DefaultEpochCycles
 	}
-	return &Monitor{
+	m := &Monitor{
 		epochCycles: epochCycles,
 		tMem:        tMem,
 		cores:       make([]coreState, cores),
 	}
+	for i := range m.cores {
+		m.cores[i].epochEnd = epochCycles
+	}
+	return m
 }
 
 // Record registers one LLC access from core starting at cycle start and
@@ -68,9 +76,8 @@ func New(cores int, tMem float64, epochCycles mem.Cycle) *Monitor {
 //chromevet:hot
 func (m *Monitor) Record(core mem.CoreID, start, latency mem.Cycle) {
 	cs := &m.cores[core]
-	epoch := start.Div(m.epochCycles)
-	if epoch != cs.epoch {
-		m.rollEpoch(cs, epoch)
+	if start < cs.epochStart || start >= cs.epochEnd {
+		m.rollEpoch(cs, start.Div(m.epochCycles))
 	}
 	end := start + latency
 	// Union of [start, end) with the already-covered prefix.
@@ -93,7 +100,8 @@ func (cs *coreState) reset() {
 	cs.accesses = 0
 }
 
-// rollEpoch finalizes the epoch verdict and starts accumulating a new one.
+// rollEpoch finalizes the epoch verdict and starts accumulating a new one,
+// newEpoch, which a record from a previous epoch rolls back to.
 //
 //chromevet:hot
 func (m *Monitor) rollEpoch(cs *coreState, newEpoch uint64) {
@@ -105,6 +113,8 @@ func (m *Monitor) rollEpoch(cs *coreState, newEpoch uint64) {
 	}
 	cs.reset()
 	cs.epoch = newEpoch
+	cs.epochStart = mem.CycleOf(newEpoch) * m.epochCycles
+	cs.epochEnd = cs.epochStart + m.epochCycles
 }
 
 // Obstructed reports whether the core was classified as LLC-obstructed in

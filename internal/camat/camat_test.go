@@ -53,6 +53,27 @@ func TestObstructionVerdictPerEpoch(t *testing.T) {
 	}
 }
 
+// TestLateRecordRollsEpochBack pins how a record that starts in an earlier
+// epoch than the core's current one is handled: it rolls the core's epoch
+// back, finalizing a verdict over the accesses so far (ROADMAP, "Make
+// C-AMAT exact"). The per-core epoch bounds that spare Record its divide
+// must keep this exactly, as every digest depends on it.
+func TestLateRecordRollsEpochBack(t *testing.T) {
+	m := New(1, 50, 100)
+	m.Record(0, 150, 80) // epoch 1, 80 cycles per access
+	if m.Obstructed(0) {
+		t.Fatal("no epoch completed yet: not obstructed")
+	}
+	m.Record(0, 90, 5) // late: epoch 0, rolls back and judges epoch 1
+	if !m.Obstructed(0) {
+		t.Fatal("the roll-back to epoch 0 should have judged epoch 1 obstructed")
+	}
+	m.Record(0, 199, 5) // epoch 1 again: judges the roll-back's one cheap access
+	if m.Obstructed(0) {
+		t.Fatal("the roll forward should have judged the 5-cycle access not obstructed")
+	}
+}
+
 func TestEmptyEpochNotObstructed(t *testing.T) {
 	m := New(1, 50, 100)
 	m.Record(0, 0, 200) // epoch 0, expensive

@@ -36,9 +36,10 @@ type Core struct {
 	// retireRing[i % ROB] holds the retire cycle of instruction i; since
 	// commit is in order, slot i%ROB still holds instruction i-ROB's
 	// retire cycle when instruction i issues, giving the ROB-full stall.
+	// Before the first ROB instructions retire, a slot still holds 0,
+	// which stalls nothing.
 	retireRing []mem.Cycle
-	robLen     mem.Instr // len(retireRing), pre-converted for the hot path
-	pos        mem.Instr // instructions issued so far
+	slot       int // the next instruction's slot, wrapped without a divide
 	lastRetire mem.Cycle
 	lastLoad   mem.Cycle // completion cycle of the most recent load
 
@@ -67,7 +68,6 @@ func New(id mem.CoreID, cfg Config, gen trace.Generator, memFn MemFunc) *Core {
 		gen:        gen,
 		mem:        memFn,
 		retireRing: make([]mem.Cycle, cfg.ROB),
-		robLen:     mem.InstrOf(uint64(cfg.ROB)),
 	}
 }
 
@@ -88,10 +88,8 @@ func (c *Core) MemAccesses() uint64 { return c.memAccesses }
 //
 //chromevet:hot
 func (c *Core) issueSlot(minCycle mem.Cycle) mem.Cycle {
-	if c.pos >= c.robLen {
-		if r := c.retireRing[c.pos%c.robLen]; r > minCycle {
-			minCycle = r
-		}
+	if r := c.retireRing[c.slot]; r > minCycle {
+		minCycle = r
 	}
 	if minCycle > c.curCycle {
 		c.curCycle = minCycle
@@ -112,9 +110,11 @@ func (c *Core) completeOne(complete mem.Cycle) {
 	if c.lastRetire > retire {
 		retire = c.lastRetire
 	}
-	c.retireRing[c.pos%c.robLen] = retire
+	c.retireRing[c.slot] = retire
 	c.lastRetire = retire
-	c.pos++
+	if c.slot++; c.slot == len(c.retireRing) {
+		c.slot = 0
+	}
 	c.instrRetired++
 }
 

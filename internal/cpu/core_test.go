@@ -89,6 +89,28 @@ func TestROBLimitsOverlap(t *testing.T) {
 	}
 }
 
+// TestROBSlotWraps pins the ROB-full stall over many laps of the ring:
+// with width to spare, independent loads of a fixed latency reach memory
+// in batches of exactly ROB, each waiting for the batch before it to
+// retire.
+func TestROBSlotWraps(t *testing.T) {
+	const rob, lat = 8, 100
+	var cycles []mem.Cycle
+	gen := &scripted{recs: []trace.Record{{PC: 1, Addr: 0}}}
+	c := New(0, Config{Width: 64, ROB: rob}, gen, func(_ mem.CoreID, _ trace.Record, cycle mem.Cycle) mem.Cycle {
+		cycles = append(cycles, cycle)
+		return lat
+	})
+	for i := 0; i < 10*rob; i++ {
+		c.Step()
+	}
+	for i, got := range cycles {
+		if want := mem.CycleOf(uint64(i/rob) * lat); got != want {
+			t.Fatalf("load %d reached memory at cycle %d, want %d (ROB %d, latency %d)", i, got, want, rob, lat)
+		}
+	}
+}
+
 func TestStoresDoNotStallCommit(t *testing.T) {
 	gen := &scripted{recs: []trace.Record{{PC: 1, Addr: 0, Write: true}}}
 	c := New(0, Config{Width: 6, ROB: 64}, gen, fixedMem(500))

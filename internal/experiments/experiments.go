@@ -31,7 +31,8 @@ type Scale struct {
 	Profiles int
 	// HeteroMixes4/8/16 are the heterogeneous mix counts (paper: 150/25/25).
 	HeteroMixes4, HeteroMixes8, HeteroMixes16 int
-	// Seed drives mix selection and agent exploration.
+	// Seed picks the heterogeneous mixes of fig10 and fig11. The agent's
+	// exploration RNG keeps chrome.DefaultConfig's Seed in every scheme.
 	Seed uint64
 	// Parallelism bounds the worker pool running independent simulation
 	// cells (0 = one worker per CPU, 1 = fully sequential). Results are

@@ -21,8 +21,8 @@ func tinyScale() Scale {
 
 func TestRunnersRegistry(t *testing.T) {
 	runners := Runners()
-	if len(runners) != 18 {
-		t.Fatalf("runner count = %d, want 18", len(runners))
+	if len(runners) != 17 {
+		t.Fatalf("runner count = %d, want 17", len(runners))
 	}
 	seen := map[string]bool{}
 	for _, r := range runners {

@@ -68,49 +68,6 @@ func Fig11(sc Scale) []Report {
 	return []Report{rep}
 }
 
-// Fig11Ext extends Figure 11 past the paper's largest system: speedup over
-// LRU on 16-, 32-, and 64-core homogeneous SPEC mixes. The scheme set is
-// trimmed to the concurrency-aware contenders (CARE, CHROME) so the
-// heavier core counts stay tractable. No paper counterpart: Fig. 11 stops
-// at 16 cores.
-func Fig11Ext(sc Scale) []Report {
-	schemes := []Scheme{LRUScheme(), CAREScheme(), CHROMEScheme(ChromeConfig())}
-	pf := PFDefault()
-	order := []string{"CARE", "CHROME"}
-
-	tab := metrics.NewTable(append([]string{"config"}, order...)...)
-	summary := map[string]float64{}
-	for _, cores := range []int{16, 32, 64} {
-		profiles := representativeProfiles(pick(sc.Profiles, 4))
-		if cores >= 32 {
-			// Bound the widest systems: simulated work grows linearly with
-			// the core count at a fixed per-core budget.
-			profiles = capProfiles(profiles, 3)
-		}
-		results := homoSweep(profiles, cores, schemes, pf, sc)
-		gm := geomeanSpeedups(results, schemes)
-		row := []string{fmt.Sprintf("homo-%dc", cores)}
-		for _, s := range order {
-			row = append(row, metrics.Pct(gm[s]))
-		}
-		tab.AddRow(row...)
-		summary[fmt.Sprintf("chrome_homo_%dc_pct", cores)] = metrics.SpeedupPercent(gm["CHROME"])
-		summary[fmt.Sprintf("care_homo_%dc_pct", cores)] = metrics.SpeedupPercent(gm["CARE"])
-	}
-
-	rep := Report{
-		ID:      "fig11ext",
-		Title:   "Extension: scalability beyond the paper, 16/32/64-core SPEC",
-		Table:   tab,
-		Summary: summary,
-		Notes: []string{
-			"no paper counterpart: Fig. 11 stops at 16 cores; this extends the sweep to 32/64",
-			"shape target: CHROME's margin over LRU persists as sharing pressure grows",
-		},
-	}
-	return []Report{rep}
-}
-
 // Fig12 reproduces Figure 12: CHROME vs N-CHROME (no concurrency-aware
 // C-AMAT feedback) on 4/8/16-core homogeneous SPEC mixes.
 func Fig12(sc Scale) []Report {

@@ -74,7 +74,7 @@ func tinyReports(r Runner) []Report {
 
 // TestReportDigests pins every runner's tiny-scale reports to committed
 // SHA-256 digests in testdata/<id>.sha256. Between them the runners cover
-// every scheme, both trackers, prefetcher variation, the 4/8/16/32/64-core
+// every scheme, both trackers, prefetcher variation, the 4/8/16-core
 // sweeps, the heterogeneous mixes, the GAP workloads, the ablations and
 // sensitivity sweeps, and the storage accounting. It is an oracle on the
 // reported numbers that a change to both the simulator and its tests cannot

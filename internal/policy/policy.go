@@ -53,23 +53,6 @@ func rripVictim(blocks []cache.Block, rrpv []uint8) int {
 	}
 }
 
-// lruWay returns the first invalid way or, when the set is full, the way
-// with the oldest LastTouch, the lowest way on ties: the minimum of one key
-// per way, w when invalid and (LastTouch+1)<<5 | w when valid, taken with
-// no data-dependent branch or early exit (DESIGN.md §7). Like victimByEPV's,
-// the keys hold while LastTouch+1 < 2^54, about 52 simulated days at 4 GHz.
-func lruWay(blocks []cache.Block) int {
-	best := ^uint64(0)
-	for w := range blocks {
-		key := (blocks[w].LastTouch.Uint64()+1)<<5 | uint64(w)
-		if !blocks[w].Valid {
-			key = uint64(w)
-		}
-		best = min(best, key)
-	}
-	return int(best % cache.MaxWays)
-}
-
 // Signature folds a PC, a prefetch flag, and a core id into the hashed PC
 // signature used by the prediction-based policies. Folding the prefetch bit
 // lets a policy learn demand and prefetch behaviour of the same load
@@ -151,29 +134,9 @@ func (s Sampler) indexSlow(set mem.SetIdx) int {
 // ---------------------------------------------------------------------------
 // LRU
 
-// LRU is the classic least-recently-used baseline: evict the way with the
-// oldest touch; never bypass.
-type LRU struct{}
-
-// NewLRU builds the LRU baseline policy.
-func NewLRU() *LRU { return &LRU{} }
-
-// Name implements cache.Policy.
-func (*LRU) Name() string { return "LRU" }
-
-// Victim implements cache.Policy.
-func (*LRU) Victim(_ mem.SetIdx, blocks []cache.Block, _ mem.Access) (int, bool) {
-	return lruWay(blocks), false
-}
-
-// OnHit implements cache.Policy (recency is tracked by the cache itself).
-func (*LRU) OnHit(mem.SetIdx, int, []cache.Block, mem.Access) {}
-
-// OnFill implements cache.Policy.
-func (*LRU) OnFill(mem.SetIdx, int, []cache.Block, mem.Access) {}
-
-// OnEvict implements cache.Policy.
-func (*LRU) OnEvict(mem.SetIdx, int, []cache.Block) {}
+// NewLRU builds the LRU baseline policy, cache.LRU: a cache takes its
+// victim from the tag pass and calls none of its hooks.
+func NewLRU() *cache.LRU { return &cache.LRU{} }
 
 // ---------------------------------------------------------------------------
 // SRRIP

@@ -144,6 +144,13 @@ func TestLRUVictimPrefersFirstInvalid(t *testing.T) {
 	}
 }
 
+// lruWay is the one-pass victim: the cache's tag pass, which cache.LRU's
+// Victim runs.
+func lruWay(blocks []cache.Block) int {
+	w, _ := NewLRU().Victim(0, blocks, mem.Access{})
+	return w
+}
+
 // scanLRUWay is the reference for lruWay: the early-exit scan it replaced,
 // which returns the first invalid way, else the first way with the oldest
 // LastTouch.
@@ -178,8 +185,8 @@ func randomSet(r *rand.Rand) []cache.Block {
 	return blocks
 }
 
-// TestLRUWayMatchesScan holds the branch-free lruWay to the early-exit scan
-// on named edge cases and on random sets.
+// TestLRUWayMatchesScan holds the one-pass victim to the early-exit scan on
+// named edge cases and on random sets.
 func TestLRUWayMatchesScan(t *testing.T) {
 	valid := func(touch ...uint64) []cache.Block {
 		var b []cache.Block

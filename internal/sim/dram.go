@@ -1,6 +1,11 @@
 package sim
 
-import "chrome/internal/mem"
+import (
+	"fmt"
+	"math/bits"
+
+	"chrome/internal/mem"
+)
 
 // DRAMConfig describes the main-memory model (Table V: DDR4-3200, 2
 // channels, 2 ranks/channel, 8 banks/rank; tRP = tRCD = tCAS = 12.5 ns,
@@ -16,7 +21,7 @@ type DRAMConfig struct {
 	RowMiss mem.Cycle
 	// Burst is the channel occupancy per 64-byte transfer in core cycles.
 	Burst mem.Cycle
-	// RowBlocks is the number of cache blocks per DRAM row.
+	// RowBlocks is the number of cache blocks per DRAM row (power of two).
 	RowBlocks uint64
 }
 
@@ -49,11 +54,11 @@ const dramEpochLen = 256
 // work-conserving channel queue.
 type DRAM struct {
 	cfg      DRAMConfig
+	rowShift uint // log2(RowBlocks): a block's row is blk >> rowShift
 	chans    []dramChannel
 	openRow  []uint64 // per (channel, bank); rowID+1, 0 = closed
 	reads    uint64
 	writes   uint64
-	busyWait uint64 // cycles of queueing delay charged
 }
 
 type dramChannel struct {
@@ -61,15 +66,20 @@ type dramChannel struct {
 	work  uint64 // cycles of transfer work booked in the window (w/ carry)
 }
 
-// NewDRAM builds the DRAM model.
+// NewDRAM builds the DRAM model. Channels, BanksPerChannel and RowBlocks
+// must be powers of two: Access masks and shifts the block number by them.
 func NewDRAM(cfg DRAMConfig) *DRAM {
-	if cfg.Channels <= 0 || cfg.BanksPerChannel <= 0 {
-		panic("sim: DRAM channels and banks must be positive")
+	pow2 := func(n uint64) bool { return n > 0 && n&(n-1) == 0 }
+	if cfg.Channels <= 0 || cfg.BanksPerChannel <= 0 ||
+		!pow2(uint64(cfg.Channels)) || !pow2(uint64(cfg.BanksPerChannel)) || !pow2(cfg.RowBlocks) {
+		panic(fmt.Sprintf("sim: DRAM channels (%d), banks per channel (%d) and row blocks (%d) must be positive powers of two",
+			cfg.Channels, cfg.BanksPerChannel, cfg.RowBlocks))
 	}
 	return &DRAM{
-		cfg:     cfg,
-		chans:   make([]dramChannel, cfg.Channels),
-		openRow: make([]uint64, cfg.Channels*cfg.BanksPerChannel),
+		cfg:      cfg,
+		rowShift: uint(bits.TrailingZeros64(cfg.RowBlocks)),
+		chans:    make([]dramChannel, cfg.Channels),
+		openRow:  make([]uint64, cfg.Channels*cfg.BanksPerChannel),
 	}
 }
 
@@ -81,7 +91,7 @@ func (d *DRAM) Access(addr mem.Addr, cycle mem.Cycle, write bool) mem.Cycle {
 	blk := addr.Block().Uint64()
 	ch := int(blk & uint64(d.cfg.Channels-1))
 	bank := int((blk >> 1) & uint64(d.cfg.BanksPerChannel-1))
-	row := blk / d.cfg.RowBlocks
+	row := blk >> d.rowShift
 
 	c := &d.chans[ch]
 	epoch := cycle.Div(dramEpochLen)
@@ -99,11 +109,7 @@ func (d *DRAM) Access(addr mem.Addr, cycle mem.Cycle, write bool) mem.Cycle {
 		// Requests timestamped before the current window (out-of-order
 		// arrivals) are booked into the current window.
 	}
-	var wait mem.Cycle
-	if c.work > dramEpochLen {
-		wait = mem.CycleOf(c.work - dramEpochLen)
-		d.busyWait += wait.Uint64()
-	}
+	wait := mem.CycleOf(max(c.work, dramEpochLen) - dramEpochLen)
 	c.work += d.cfg.Burst.Uint64()
 
 	bi := ch*d.cfg.BanksPerChannel + bank
@@ -133,96 +139,3 @@ func (d *DRAM) Writes() uint64 { return d.writes }
 func (d *DRAM) AvgLatency() float64 {
 	return float64((d.cfg.RowHit+d.cfg.RowMiss).Uint64())/2 + float64(d.cfg.Burst.Uint64())
 }
-
-// mshr models a miss-status-holding-register file: it bounds the number of
-// outstanding misses at a level. Acquire returns the possibly-delayed start
-// cycle; Commit registers the completion time.
-//
-// busy is kept as a binary min-heap on completion cycle, so pruning
-// completed entries pops only what expired (amortized O(1) per access)
-// instead of rescanning the whole file, which read slower at 16 cores
-// (DESIGN.md §7). The file holds a *multiset* of completion times: prune
-// drops every entry ≤ now and acquire reads the minimum, both
-// order-independent, so the heap layout changes no result.
-type mshr struct {
-	cap  int
-	busy []mem.Cycle // min-heap of completion cycles of outstanding misses
-	// stalls counts how many acquisitions had to wait for a free entry.
-	stalls uint64
-	// mshrCheck is the simcheck sanitizer's accounting (empty in normal
-	// builds).
-	mshrCheck
-}
-
-func newMSHR(entries int) *mshr {
-	if entries <= 0 {
-		panic("sim: MSHR entries must be positive")
-	}
-	return &mshr{cap: entries, busy: make([]mem.Cycle, 0, entries)}
-}
-
-// acquire prunes completed entries at `start` and, if the file is full,
-// delays start until the earliest outstanding miss completes.
-//
-//chromevet:hot
-func (m *mshr) acquire(start mem.Cycle) mem.Cycle {
-	m.noteAcquire()
-	m.prune(start)
-	for len(m.busy) >= m.cap {
-		// The heap minimum is > start, because prune just removed
-		// everything ≤ start; pruning at it frees at least that entry.
-		start = m.busy[0]
-		m.stalls++
-		m.prune(start)
-	}
-	return start
-}
-
-// commit registers an outstanding miss completing at the given cycle.
-//
-//chromevet:hot
-func (m *mshr) commit(complete mem.Cycle) {
-	// acquire returned only once len(busy) < cap, and newMSHR pre-sizes
-	// busy to cap, so the append never reallocates.
-	m.busy = append(m.busy, complete)
-	// Sift the new entry up to its heap position.
-	for i := len(m.busy) - 1; i > 0; {
-		p := (i - 1) / 2
-		if m.busy[p] <= m.busy[i] {
-			break
-		}
-		m.busy[p], m.busy[i] = m.busy[i], m.busy[p]
-		i = p
-	}
-	m.noteCommit(len(m.busy), m.cap)
-}
-
-// prune drops entries that completed at or before now.
-//
-//chromevet:hot
-func (m *mshr) prune(now mem.Cycle) {
-	for len(m.busy) > 0 && m.busy[0] <= now {
-		last := len(m.busy) - 1
-		m.busy[0] = m.busy[last]
-		m.busy = m.busy[:last]
-		// Sift the moved entry down.
-		for i := 0; ; {
-			l := 2*i + 1
-			if l >= last {
-				break
-			}
-			if r := l + 1; r < last && m.busy[r] < m.busy[l] {
-				l = r
-			}
-			if m.busy[i] <= m.busy[l] {
-				break
-			}
-			m.busy[i], m.busy[l] = m.busy[l], m.busy[i]
-			i = l
-		}
-	}
-}
-
-// BusyWait returns the cumulative cycles requests spent waiting for a busy
-// channel (a bandwidth-saturation indicator).
-func (d *DRAM) BusyWait() uint64 { return d.busyWait }

@@ -10,6 +10,6 @@ const SimcheckEnabled = false
 type mshrCheck struct{}
 
 func (*mshrCheck) noteAcquire()        {}
-func (*mshrCheck) noteCommit(int, int) {}
+func (*mshr) noteCommit()              {}
 func (*mshrCheck) checkDrained(string) {}
 func (s *System) checkEndOfRun()       {}

@@ -17,15 +17,16 @@ type mshrCheck struct {
 
 func (k *mshrCheck) noteAcquire() { k.acquired++ }
 
-func (k *mshrCheck) noteCommit(occupancy, capacity int) {
-	k.committed++
-	if occupancy > capacity {
+// noteCommit checks the exact occupancy, not the bound acquire reads.
+func (m *mshr) noteCommit() {
+	m.committed++
+	if n := m.occupancy(); n > m.cap {
 		panic(fmt.Sprintf("simcheck: MSHR occupancy %d exceeds capacity %d (commit without acquire back-pressure)",
-			occupancy, capacity))
+			n, m.cap))
 	}
-	if k.committed > k.acquired {
+	if m.committed > m.acquired {
 		panic(fmt.Sprintf("simcheck: MSHR committed %d misses but acquired only %d",
-			k.committed, k.acquired))
+			m.committed, m.acquired))
 	}
 }
 

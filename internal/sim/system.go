@@ -127,10 +127,6 @@ type System struct {
 
 	// sched is the scratch backing of runPhase's core min-heap.
 	sched []*cpu.Core
-
-	// prefetch accounting (issued at each level)
-	l1PrefetchesIssued uint64
-	l2PrefetchesIssued uint64
 }
 
 // New assembles a system running the LLC policy built by factory, with one
@@ -379,11 +375,6 @@ func (s *System) issuePrefetches(core mem.CoreID, trigger mem.Access, cands []me
 			s.l2Access(pf, false)
 		}
 		n++
-	}
-	if fromL1 {
-		s.l1PrefetchesIssued += uint64(n)
-	} else {
-		s.l2PrefetchesIssued += uint64(n)
 	}
 }
 
