@@ -107,7 +107,7 @@ func TestAllocBudget(t *testing.T) {
 		// Budget 300k instructions ≈ 100k records at mcf's ~3 instr/record:
 		// comfortably more than the ~51k Next calls below, so the replayer
 		// never exhausts.
-		g := p.NewReplay(0, 300_000)
+		g := workload.HomogeneousMix(p, 1, 300_000)[0]
 		check(t, "replay Next (mcf)", func(int) {
 			g.Next()
 		})
@@ -124,7 +124,9 @@ func TestAllocBudget(t *testing.T) {
 	// heterogeneous mix. Run's fixed cost (collect's per-core Result
 	// slices) is the same for any length, so a Run of 40,000 instructions
 	// per core allocating more than one of 1,000 means the step itself
-	// allocates.
+	// allocates. AllocsPerRun calls its function once more as a warm-up,
+	// so the cores retire 20,000 + 5×1,000 + 5×40,000 = 225,000
+	// instructions each, the recordings' budget.
 	t.Run("System", func(t *testing.T) {
 		pf := experiments.PFDefault()
 		mix := workload.HeterogeneousMixes(4, 1, 1)[0]
@@ -132,7 +134,7 @@ func TestAllocBudget(t *testing.T) {
 			t.Run(s.Name, func(t *testing.T) {
 				cfg := sim.ScaledConfig(4)
 				cfg.L1Prefetcher, cfg.L2Prefetcher = pf.L1, pf.L2
-				sys := sim.New(cfg, mix.Generators(), s.Factory)
+				sys := sim.New(cfg, mix.Generators(225_000), s.Factory)
 				target := mem.Instr(20_000)
 				sys.Run(0, target)
 				perRun := func(step mem.Instr) float64 {

@@ -1,6 +1,8 @@
 // Command chromesim runs a single simulation configuration — a workload
 // mix, an LLC policy, a prefetcher pair, and a core count — and prints the
-// measured statistics. It is the quickest way to poke at the simulator.
+// measured statistics. Each core replays its workload's recording of
+// warmup+measure instructions, and a CHROME or N-CHROME run also prints its
+// agent's counters. It is the quickest way to poke at the simulator.
 //
 // Usage:
 //
@@ -58,19 +60,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	// A CHROME scheme's agent is kept for its counters and the Q-table
+	// flags.
 	var agent *chrome.Agent
-	if *saveQT != "" || *loadQT != "" {
-		if !strings.Contains(strings.ToUpper(*policy), "CHROME") {
-			fmt.Fprintln(os.Stderr, "-save-qtable/-load-qtable require a CHROME policy")
-			os.Exit(2)
-		}
-		ccfg := experiments.ChromeConfig()
-		if strings.EqualFold(*policy, "N-CHROME") {
-			ccfg = experiments.NChromeConfig()
-		}
-		scheme = experiments.Scheme{Name: scheme.Name, Factory: func(sets, ways, cores int, obstructed func(mem.CoreID) bool) cache.Policy {
-			agent = chrome.New(ccfg, sets, ways)
-			agent.Obstructed = obstructed
+	if inner := scheme.Factory; strings.HasSuffix(scheme.Name, "CHROME") {
+		scheme.Factory = func(sets, ways, cores int, obstructed func(mem.CoreID) bool) cache.Policy {
+			agent = inner(sets, ways, cores, obstructed).(*chrome.Agent)
 			if *loadQT != "" {
 				f, err := os.Open(*loadQT)
 				if err != nil {
@@ -84,7 +79,10 @@ func main() {
 				}
 			}
 			return agent
-		}}
+		}
+	} else if *saveQT != "" || *loadQT != "" {
+		fmt.Fprintln(os.Stderr, "-save-qtable/-load-qtable require a CHROME policy")
+		os.Exit(2)
 	}
 	pf, err := pfByName(*pfName)
 	if err != nil {
@@ -92,27 +90,30 @@ func main() {
 		os.Exit(2)
 	}
 
+	// build replays each workload's recording of warmup+measure
+	// instructions, one replayer per core.
 	build := func() ([]trace.Generator, error) {
+		budget := mem.InstrOf(*warmup + *measure)
 		names := strings.Split(*wl, ",")
 		if len(names) == 1 {
 			p, err := workload.ByName(names[0])
 			if err != nil {
 				return nil, err
 			}
-			return workload.HomogeneousMix(p, *cores), nil
+			return workload.HomogeneousMix(p, *cores, budget), nil
 		}
 		if len(names) != *cores {
 			return nil, fmt.Errorf("got %d workloads for %d cores", len(names), *cores)
 		}
-		gens := make([]trace.Generator, *cores)
+		mix := workload.Mix{Profiles: make([]workload.Profile, *cores)}
 		for i, n := range names {
 			p, err := workload.ByName(strings.TrimSpace(n))
 			if err != nil {
 				return nil, err
 			}
-			gens[i] = p.New(i)
+			mix.Profiles[i] = p
 		}
-		return gens, nil
+		return mix.Generators(budget), nil
 	}
 
 	run := func(s experiments.Scheme) (sim.Result, error) {
@@ -140,6 +141,9 @@ func main() {
 			"cores":    *cores,
 			"prefetch": pf.Name,
 			"result":   res,
+		}
+		if agent != nil {
+			out["agent_incl_warmup"] = countAgent(agent)
 		}
 		if *baseline && scheme.Name != "LRU" {
 			base, err := run(experiments.LRUScheme())
@@ -169,6 +173,11 @@ func main() {
 	fmt.Printf("  LLC: demand miss ratio %.1f%%, MPKI %.1f, EPHR %.1f%%, bypasses %d, fills %d\n",
 		100*st.DemandMissRatio(), res.MPKI(), 100*st.EPHR(), st.Bypasses, st.Fills)
 	fmt.Printf("  DRAM: %d reads, %d writes\n", res.DRAMReads, res.DRAMWrites)
+	if agent != nil {
+		c := countAgent(agent)
+		fmt.Printf("  agent: %d decisions, %d SARSA updates, UPKSA %.0f, demand misses %d bypassed / %d inserted (incl. warmup)\n",
+			c.Decisions, c.SARSAUpdates, c.UPKSA, c.DemandMissesBypassed, c.DemandMissesInserted)
+	}
 
 	if *baseline && scheme.Name != "LRU" {
 		base, err := run(experiments.LRUScheme())
@@ -197,6 +206,28 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("  saved Q-table checkpoint to %s\n", *saveQT)
+	}
+}
+
+// agentCounters are a CHROME agent's activity counters over the whole run:
+// the agent is not reset at the warmup boundary.
+type agentCounters struct {
+	Decisions            uint64  `json:"decisions"`
+	SARSAUpdates         uint64  `json:"sarsa_updates"`
+	UPKSA                float64 `json:"upksa"`
+	DemandMissesBypassed uint64  `json:"demand_misses_bypassed"`
+	DemandMissesInserted uint64  `json:"demand_misses_inserted"`
+}
+
+func countAgent(a *chrome.Agent) agentCounters {
+	st := a.Stats()
+	demand := st.MissActions[0]
+	return agentCounters{
+		Decisions:            st.Decisions,
+		SARSAUpdates:         a.QTable().Updates(),
+		UPKSA:                a.UPKSA(),
+		DemandMissesBypassed: demand[chrome.ActionBypass],
+		DemandMissesInserted: demand[chrome.ActionEPV0] + demand[chrome.ActionEPV1] + demand[chrome.ActionEPV2],
 	}
 }
 

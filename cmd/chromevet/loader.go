@@ -3,7 +3,7 @@ package main
 import (
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -31,7 +31,6 @@ type Loader struct {
 	Fset    *token.FileSet
 	ModRoot string // directory containing go.mod
 	ModPath string // module path ("chrome")
-	Tags    map[string]bool
 
 	std       types.Importer
 	overrides map[string]string // import path -> directory (fixture loading)
@@ -45,29 +44,12 @@ func NewLoader(modRoot, modPath string) *Loader {
 		Fset:      token.NewFileSet(),
 		ModRoot:   modRoot,
 		ModPath:   modPath,
-		Tags:      defaultTags(),
 		overrides: map[string]string{},
 		pkgs:      map[string]*Package{},
 		loading:   map[string]bool{},
 	}
 	l.std = importer.ForCompiler(l.Fset, "source", nil)
 	return l
-}
-
-// defaultTags returns the build tags considered satisfied when selecting
-// files: the host platform plus every released go1.N version. The simcheck
-// tag is deliberately absent — chromevet analyzes the default build.
-func defaultTags() map[string]bool {
-	tags := map[string]bool{
-		runtime.GOOS:   true,
-		runtime.GOARCH: true,
-		"unix":         true,
-		"gc":           true,
-	}
-	for i := 1; i <= 99; i++ {
-		tags[fmt.Sprintf("go1.%d", i)] = true
-	}
-	return tags
 }
 
 // Override maps an import path to a directory, shadowing the module layout.
@@ -120,9 +102,6 @@ func (l *Loader) Load(path string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no buildable Go files in %s", dir)
-	}
 
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
@@ -144,55 +123,24 @@ func (l *Loader) Load(path string) (*Package, error) {
 	return p, nil
 }
 
-// parseDir parses the buildable non-test Go files of one directory, in
-// filename order (os.ReadDir sorts by name).
+// parseDir parses the Go files of one directory that the default build
+// compiles for the host, in filename order: go/build selects them by file
+// name and //go:build line, leaving out _test.go files and the files of
+// the simcheck tag.
 func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
-	entries, err := os.ReadDir(dir)
+	bp, err := build.Default.ImportDir(dir, 0)
 	if err != nil {
 		return nil, err
 	}
-	var files []*ast.File
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
-			continue
-		}
-		full := filepath.Join(dir, name)
-		src, err := os.ReadFile(full)
-		if err != nil {
-			return nil, err
-		}
-		if !l.fileIncluded(src) {
-			continue
-		}
-		f, err := parser.ParseFile(l.Fset, full, src, parser.ParseComments)
+	files := make([]*ast.File, 0, len(bp.GoFiles))
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
 	}
 	return files, nil
-}
-
-// fileIncluded evaluates a //go:build constraint (if any) against the
-// loader's tag set. Only header lines before the package clause count.
-func (l *Loader) fileIncluded(src []byte) bool {
-	for _, line := range strings.Split(string(src), "\n") {
-		trimmed := strings.TrimSpace(line)
-		if strings.HasPrefix(trimmed, "package ") {
-			break
-		}
-		if !constraint.IsGoBuild(trimmed) {
-			continue
-		}
-		expr, err := constraint.Parse(trimmed)
-		if err != nil {
-			continue
-		}
-		return expr.Eval(func(tag string) bool { return l.Tags[tag] })
-	}
-	return true
 }
 
 // FindModule walks up from dir to the enclosing go.mod and returns the

@@ -19,8 +19,8 @@
 //
 //	go run ./cmd/chromevet
 //
-// It takes no arguments and checks every package under internal/, cmd/ and
-// examples/. Exit status is 0 on a clean tree, 1 when any finding is
+// It takes no arguments and checks every package under internal/ and cmd/.
+// Exit status is 0 on a clean tree, 1 when any finding is
 // reported and 2 when a package fails to load.
 package main
 
@@ -35,7 +35,7 @@ import (
 
 func main() {
 	if len(os.Args) > 1 {
-		fmt.Fprintln(os.Stderr, "usage: chromevet (no arguments: it checks every package under internal/, cmd/ and examples/)")
+		fmt.Fprintln(os.Stderr, "usage: chromevet (no arguments: it checks every package under internal/ and cmd/)")
 		os.Exit(2)
 	}
 	root, modPath, err := FindModule(".")
@@ -57,12 +57,12 @@ func main() {
 	}
 }
 
-// checkModule runs the suite over every package under internal/, cmd/ and
-// examples/ of l's module. It returns the findings and the sorted import
+// checkModule runs the suite over every package under internal/ and cmd/
+// of l's module. It returns the findings and the sorted import
 // paths of the packages it checked.
 func checkModule(l *Loader) ([]Finding, []string, error) {
 	var paths []string
-	for _, top := range []string{"internal", "cmd", "examples"} {
+	for _, top := range []string{"internal", "cmd"} {
 		err := filepath.WalkDir(filepath.Join(l.ModRoot, top), func(path string, d fs.DirEntry, err error) error {
 			switch {
 			case err != nil:

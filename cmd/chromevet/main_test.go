@@ -150,8 +150,8 @@ func TestFixtures(t *testing.T) {
 // TestRepoIsClean runs checkModule, the check `go run ./cmd/chromevet`
 // performs, over the real module, so a regression fails go test. It also
 // holds checkModule to its package set: exactly the packages the go
-// command lists under internal/, cmd/ and examples/ — nothing from
-// testdata, and neither the root package nor the separate bench module.
+// command lists under internal/ and cmd/ — nothing from testdata, and
+// neither the root package nor the separate bench module.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repo-wide analysis in -short mode")
@@ -165,7 +165,7 @@ func TestRepoIsClean(t *testing.T) {
 		t.Errorf("finding on clean tree: %s", f)
 	}
 
-	cmd := exec.Command("go", "list", "./internal/...", "./cmd/...", "./examples/...")
+	cmd := exec.Command("go", "list", "./internal/...", "./cmd/...")
 	cmd.Dir = l.ModRoot
 	out, err := cmd.Output()
 	if err != nil {
@@ -174,13 +174,12 @@ func TestRepoIsClean(t *testing.T) {
 	want := strings.Fields(string(out))
 	slices.Sort(want)
 	if !slices.Equal(paths, want) {
-		t.Errorf("checkModule checked %v\nwant the packages under internal/, cmd/ and examples/: %v", paths, want)
+		t.Errorf("checkModule checked %v\nwant the packages under internal/ and cmd/: %v", paths, want)
 	}
 	for _, p := range paths {
-		under := strings.HasPrefix(p, "chrome/internal/") || strings.HasPrefix(p, "chrome/cmd/") ||
-			strings.HasPrefix(p, "chrome/examples/")
+		under := strings.HasPrefix(p, "chrome/internal/") || strings.HasPrefix(p, "chrome/cmd/")
 		if !under || strings.Contains(p, "/testdata") {
-			t.Errorf("checkModule checked %s, outside internal/, cmd/ and examples/ or in testdata", p)
+			t.Errorf("checkModule checked %s, outside internal/ and cmd/ or in testdata", p)
 		}
 	}
 }

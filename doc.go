@@ -13,12 +13,11 @@
 //
 // Entry points:
 //
-//   - cmd/chromesim:    run one simulation configuration over workload
-//     generators
+//   - cmd/chromesim:    run one simulation configuration over recorded
+//     workload streams
 //   - cmd/experiments:  reproduce the paper's tables and figures
 //   - cmd/chromevet:    the repository's static-analysis suite, one
-//     flagless check over internal/, cmd/ and examples/
-//   - examples/...:     runnable scenarios using the public APIs
+//     flagless check over internal/ and cmd/
 //
 // cmd/experiments regenerates every table and figure of the paper's
 // evaluation section, and the bench module (bench/run.sh) measures the

@@ -176,13 +176,6 @@ type Cache struct {
 	lru   bool
 	stats Stats
 	epoch uint32 // stats generation, bumped by ResetStats
-
-	// evictTracker, when non-nil, records unused evictions so Fig. 2's
-	// "re-requested later" split can be measured.
-	evictTracker *ReuseTracker
-	// bypassTracker, when non-nil, records bypassed blocks so Fig. 9's
-	// bypass efficiency (fraction never demanded again) can be measured.
-	bypassTracker *ReuseTracker
 }
 
 // New builds a cache level with the given geometry and policy. Sets must be
@@ -229,14 +222,6 @@ func (c *Cache) ResetStats() {
 	c.epoch++
 }
 
-// SetEvictionTracker installs an optional unused-eviction tracker (Fig. 2).
-// The cache keeps t, so each cache needs a tracker of its own.
-func (c *Cache) SetEvictionTracker(t *ReuseTracker) { c.evictTracker = t }
-
-// SetBypassTracker installs an optional bypass-efficiency tracker (Fig. 9).
-// The cache keeps t, so each cache needs a tracker of its own.
-func (c *Cache) SetBypassTracker(t *ReuseTracker) { c.bypassTracker = t }
-
 // SetIndex returns the set index for an address.
 func (c *Cache) SetIndex(a mem.Addr) mem.SetIdx {
 	return a.Block().Set(c.setMask)
@@ -270,18 +255,6 @@ func (c *Cache) Access(acc mem.Access) Result {
 	setIdx := c.SetIndex(acc.Addr)
 	set := c.set(setIdx)
 	tag := acc.Addr.Block()
-
-	// Re-reference observation for the optional Fig. 2 / Fig. 9 trackers:
-	// unused evictions count any re-request; bypass efficiency counts only
-	// subsequent demand requests.
-	if acc.Type != mem.Writeback {
-		if c.evictTracker != nil {
-			c.evictTracker.Observe(acc.Addr)
-		}
-		if c.bypassTracker != nil && acc.Type.IsDemand() {
-			c.bypassTracker.Observe(acc.Addr)
-		}
-	}
 
 	var res Result
 	if hit, victim := scan(set, tag); hit >= 0 {
@@ -379,9 +352,6 @@ func (c *Cache) onMiss(setIdx mem.SetIdx, set []Block, acc mem.Access, lruVictim
 		way, bypass = c.policy.Victim(setIdx, set, acc)
 		if bypass {
 			c.stats.Bypasses++
-			if c.bypassTracker != nil {
-				c.bypassTracker.Record(acc.Addr)
-			}
 			return Result{}
 		}
 		if way < 0 || way >= c.cfg.Ways {
@@ -397,9 +367,6 @@ func (c *Cache) onMiss(setIdx mem.SetIdx, set []Block, acc mem.Access, lruVictim
 			c.stats.EvictionsUnused++
 			if victim.Prefetched {
 				c.stats.EvictionsUnusedPF++
-			}
-			if c.evictTracker != nil {
-				c.evictTracker.Record(evictedAddr)
 			}
 		}
 		if evictedDirty {
@@ -453,56 +420,3 @@ func (*LRU) OnFill(mem.SetIdx, int, []Block, mem.Access) {}
 
 // OnEvict implements Policy.
 func (*LRU) OnEvict(mem.SetIdx, int, []Block) {}
-
-// ReuseTracker records a set of block addresses (unused evictions for
-// Fig. 2, bypassed blocks for Fig. 9) and counts how many are subsequently
-// re-requested. The tracked set is bounded; once full, new records are
-// counted but not tracked (they land in the never-re-requested bucket,
-// which is the conservative direction for both figures' claims).
-type ReuseTracker struct {
-	pending map[mem.Addr]struct{}
-	limit   int
-
-	// ReRequested counts tracked records later accessed again.
-	ReRequested uint64
-	// Total counts all recorded events.
-	Total uint64
-}
-
-// NewReuseTracker builds a tracker bounded to limit pending addresses
-// (limit <= 0 selects 1M).
-func NewReuseTracker(limit int) *ReuseTracker {
-	if limit <= 0 {
-		limit = 1 << 20
-	}
-	return &ReuseTracker{pending: make(map[mem.Addr]struct{}), limit: limit}
-}
-
-// Record notes an event (unused eviction or bypass) for addr.
-func (t *ReuseTracker) Record(addr mem.Addr) {
-	t.Total++
-	if len(t.pending) < t.limit {
-		t.pending[addr.BlockAligned()] = struct{}{}
-	}
-}
-
-// Observe notes a new access; if it matches a tracked record, the record is
-// reclassified as re-requested.
-func (t *ReuseTracker) Observe(addr mem.Addr) {
-	key := addr.BlockAligned()
-	if _, ok := t.pending[key]; ok {
-		delete(t.pending, key)
-		t.ReRequested++
-	}
-}
-
-// NeverReRequested returns the count of records not (yet) seen again.
-func (t *ReuseTracker) NeverReRequested() uint64 { return t.Total - t.ReRequested }
-
-// ReRequestedRatio returns ReRequested/Total (0 when empty).
-func (t *ReuseTracker) ReRequestedRatio() float64 {
-	if t.Total == 0 {
-		return 0
-	}
-	return float64(t.ReRequested) / float64(t.Total)
-}

@@ -355,26 +355,6 @@ func TestLRUTagPassMatchesHooks(t *testing.T) {
 	}
 }
 
-func TestReuseTracker(t *testing.T) {
-	tr := NewReuseTracker(2)
-	tr.Record(0x40)
-	tr.Record(0x80)
-	tr.Record(0xC0) // beyond the limit: counted, not tracked
-	tr.Observe(0x40)
-	tr.Observe(0x40) // second observe must not double count
-	tr.Observe(0xC0) // untracked: no effect
-	if tr.Total != 3 || tr.ReRequested != 1 || tr.NeverReRequested() != 2 {
-		t.Fatalf("tracker state total=%d rereq=%d", tr.Total, tr.ReRequested)
-	}
-	if got := tr.ReRequestedRatio(); got < 0.33 || got > 0.34 {
-		t.Fatalf("ratio = %v, want 1/3", got)
-	}
-	empty := NewReuseTracker(0)
-	if empty.ReRequestedRatio() != 0 {
-		t.Fatal("empty tracker ratio should be 0")
-	}
-}
-
 func TestStatsHelpers(t *testing.T) {
 	s := Stats{DemandLoadHits: 3, DemandStoreHits: 1, DemandLoadMisses: 4, DemandStoreMisses: 2}
 	if s.DemandHits() != 4 || s.DemandMisses() != 6 || s.DemandAccesses() != 10 {

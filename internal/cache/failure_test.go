@@ -46,17 +46,3 @@ func TestCacheSurvivesDegenerateVictim(t *testing.T) {
 		t.Fatal("degenerate policy produced no activity")
 	}
 }
-
-// TestTrackerBoundedMemory: the tracker must not grow past its limit.
-func TestTrackerBoundedMemory(t *testing.T) {
-	tr := NewReuseTracker(100)
-	for i := 0; i < 10_000; i++ {
-		tr.Record(mem.Addr(i * 64))
-	}
-	if len(tr.pending) > 100 {
-		t.Fatalf("tracker grew to %d entries, limit 100", len(tr.pending))
-	}
-	if tr.Total != 10_000 {
-		t.Fatalf("total = %d, want 10000 (counting continues past the limit)", tr.Total)
-	}
-}

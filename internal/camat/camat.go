@@ -34,14 +34,13 @@ type Monitor struct {
 }
 
 type coreState struct {
-	epoch        uint64    // index of the epoch being accumulated
 	coveredUntil mem.Cycle // end of the union of active intervals so far
 	activeCycles uint64
 	accesses     uint64
 	obstructed   bool // verdict from the previous completed epoch
 
-	// epoch's cycles are [epochStart, epochEnd): a record inside them
-	// needs no divide to find its epoch.
+	// The cycles of the epoch being accumulated are [epochStart,
+	// epochEnd): a record inside them needs no divide to find its epoch.
 	epochStart, epochEnd mem.Cycle
 
 	// lifetime aggregates (for reporting)
@@ -112,7 +111,6 @@ func (m *Monitor) rollEpoch(cs *coreState, newEpoch uint64) {
 		cs.obstructed = false
 	}
 	cs.reset()
-	cs.epoch = newEpoch
 	cs.epochStart = mem.CycleOf(newEpoch) * m.epochCycles
 	cs.epochEnd = cs.epochStart + m.epochCycles
 }

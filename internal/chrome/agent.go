@@ -30,9 +30,9 @@ type Agent struct {
 
 	// epv holds the 2-bit Eviction Priority Value of every LLC line.
 	epv [][]uint8
-	// pending carries the insertion EPV from Victim to OnFill.
-	pendingEPV   uint8
-	pendingValid bool
+	// pendingEPV carries the insertion EPV from Victim to the OnFill of the
+	// same access, which the cache calls next for a miss it does not bypass.
+	pendingEPV uint8
 
 	stats AgentStats
 }
@@ -281,7 +281,6 @@ func (a *Agent) Victim(set mem.SetIdx, blocks []cache.Block, acc mem.Access) (in
 		return 0, true
 	}
 	a.pendingEPV = act.EPV() & 3
-	a.pendingValid = true
 	return a.victimByEPV(set, blocks), false
 }
 
@@ -323,17 +322,9 @@ func (a *Agent) OnHit(set mem.SetIdx, way int, _ []cache.Block, acc mem.Access) 
 //
 //chromevet:hot
 func (a *Agent) OnFill(set mem.SetIdx, way int, _ []cache.Block, _ mem.Access) {
-	if a.pendingValid {
-		a.epv[set][way] = a.pendingEPV
-		a.pendingValid = false
-		return
-	}
-	a.epv[set][way] = 1
+	a.epv[set][way] = a.pendingEPV
 }
 
-// OnEvict implements cache.Policy.
-//
-//chromevet:hot
-func (a *Agent) OnEvict(set mem.SetIdx, way int, _ []cache.Block) {
-	a.epv[set][way] = 2
-}
+// OnEvict implements cache.Policy: the OnFill that follows on the same way
+// sets its EPV.
+func (*Agent) OnEvict(mem.SetIdx, int, []cache.Block) {}

@@ -35,7 +35,7 @@ func TestConservation(t *testing.T) {
 			t.Run(fmt.Sprintf("%dc/%s", cores, s.Name), func(t *testing.T) {
 				cfg := sim.ScaledConfig(cores)
 				cfg.L1Prefetcher, cfg.L2Prefetcher = pf.L1, pf.L2
-				sys := sim.New(cfg, mix.Generators(), s.Factory)
+				sys := sim.New(cfg, mix.Generators(25_000), s.Factory)
 				sys.Run(5_000, 20_000)
 				for i := range cores {
 					checkConservation(t, fmt.Sprintf("L1[%d]", i), sys.L1(i).Stats(), false)

@@ -49,13 +49,13 @@ func (sc Scale) budget() mem.Instr { return sc.Warmup + sc.Measure }
 // of one frozen recording per workload, shared by every scheme in a sweep
 // (DESIGN.md §8).
 func (sc Scale) homoGens(p workload.Profile, cores int) []trace.Generator {
-	return workload.HomogeneousReplayMix(p, cores, sc.budget())
+	return workload.HomogeneousMix(p, cores, sc.budget())
 }
 
 // mixGens builds a mix's per-core generators over shared frozen
 // recordings.
 func (sc Scale) mixGens(m workload.Mix) []trace.Generator {
-	return m.ReplayGenerators(sc.budget())
+	return m.Generators(sc.budget())
 }
 
 // QuickScale is sized for tests and benchmarks (seconds per figure). At
@@ -286,21 +286,16 @@ func (r Report) String() string {
 	return s
 }
 
-// runMix simulates one mix under one scheme and returns the result.
+// runMix simulates one mix under one scheme on the scaled geometry with
+// the given prefetchers and returns the result.
 func runMix(gens []trace.Generator, cores int, scheme Scheme, pf PrefetchConfig, sc Scale) sim.Result {
-	res := sc.newMixSystem(gens, cores, scheme, pf).Run(sc.Warmup, sc.Measure)
-	res.PolicyName = scheme.Name
-	countInstructions(res)
-	return res
-}
-
-// newMixSystem constructs one cell's simulated system: scaled geometry,
-// the mix's prefetchers, and the scheme's policy.
-func (sc Scale) newMixSystem(gens []trace.Generator, cores int, scheme Scheme, pf PrefetchConfig) *sim.System {
 	cfg := sim.ScaledConfig(cores)
 	cfg.L1Prefetcher = pf.L1
 	cfg.L2Prefetcher = pf.L2
-	return sim.New(cfg, gens, scheme.Factory)
+	res := sim.New(cfg, gens, scheme.Factory).Run(sc.Warmup, sc.Measure)
+	res.PolicyName = scheme.Name
+	countInstructions(res)
+	return res
 }
 
 // representativeOrder ranks SPEC profiles by behavioural diversity so

@@ -102,8 +102,8 @@ func TestRunMixProducesComparableResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := tinyScale()
-	base := runMix(workload.HomogeneousMix(p, 2), 2, LRUScheme(), PFDefault(), sc)
-	again := runMix(workload.HomogeneousMix(p, 2), 2, LRUScheme(), PFDefault(), sc)
+	base := runMix(sc.homoGens(p, 2), 2, LRUScheme(), PFDefault(), sc)
+	again := runMix(sc.homoGens(p, 2), 2, LRUScheme(), PFDefault(), sc)
 	for i := range base.IPC {
 		if base.IPC[i] != again.IPC[i] {
 			t.Fatal("identical runs must produce identical IPC (determinism)")

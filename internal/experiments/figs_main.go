@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"chrome/internal/cache"
 	"chrome/internal/metrics"
 	"chrome/internal/workload"
 )
@@ -112,17 +111,13 @@ func Fig9(sc Scale) []Report {
 	tab := metrics.NewTable("workload", "MJ-coverage", "MJ-efficiency", "CHROME-coverage", "CHROME-efficiency")
 	type cell struct{ coverage, efficiency float64 }
 	grid := parGrid(sc, len(profiles), len(schemes), func(pi, si int) cell {
-		sys := sc.newMixSystem(sc.homoGens(profiles[pi], 4), 4, schemes[si], pf)
-		tracker := cache.NewReuseTracker(0)
-		sys.SetBypassTracker(tracker)
-		res := sys.Run(sc.Warmup, sc.Measure)
-		countInstructions(res)
+		res, probe := runMixProbed(sc.homoGens(profiles[pi], 4), 4, schemes[si], pf, sc)
 		var c cell
 		if incoming := res.LLC.Bypasses + res.LLC.Fills; incoming > 0 {
 			c.coverage = float64(res.LLC.Bypasses) / float64(incoming)
 		}
-		if tracker.Total > 0 {
-			c.efficiency = 1 - tracker.ReRequestedRatio()
+		if probe.bypassed.total > 0 {
+			c.efficiency = 1 - probe.bypassed.reRequestedRatio()
 		}
 		return c
 	})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"chrome/internal/cache"
 	"chrome/internal/metrics"
 	"chrome/internal/sim"
 	"chrome/internal/workload"
@@ -132,11 +131,7 @@ func Fig2(sc Scale) []Report {
 		ok                     bool
 	}
 	cells := parMap(sc, len(profiles), func(i int) cell {
-		sys := sc.newMixSystem(sc.homoGens(profiles[i], 4), 4, GliderScheme(), pf)
-		tracker := cache.NewReuseTracker(0)
-		sys.SetEvictionTracker(tracker)
-		res := sys.Run(sc.Warmup, sc.Measure)
-		countInstructions(res)
+		res, probe := runMixProbed(sc.homoGens(profiles[i], 4), 4, GliderScheme(), pf, sc)
 		st := res.LLC
 		if st.Evictions == 0 {
 			return cell{}
@@ -145,7 +140,7 @@ func Fig2(sc Scale) []Report {
 		if st.EvictionsUnused > 0 {
 			c.pfShare = float64(st.EvictionsUnusedPF) / float64(st.EvictionsUnused)
 		}
-		c.reReq = tracker.ReRequestedRatio()
+		c.reReq = probe.evicted.reRequestedRatio()
 		return c
 	})
 	var unusedR, pfShareR, reReqR []float64

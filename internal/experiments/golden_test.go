@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"chrome/internal/sim"
-	"chrome/internal/trace"
 	"chrome/internal/workload"
 )
 
@@ -74,9 +73,9 @@ func tinyReports(r Runner) []Report {
 
 // TestReportDigests pins every runner's tiny-scale reports to committed
 // SHA-256 digests in testdata/<id>.sha256. Between them the runners cover
-// every scheme, both trackers, prefetcher variation, the 4/8/16-core
-// sweeps, the heterogeneous mixes, the GAP workloads, the ablations and
-// sensitivity sweeps, and the storage accounting. It is an oracle on the
+// every scheme, both trackers of the reuse probe, prefetcher variation,
+// the 4/8/16-core sweeps, the heterogeneous mixes, the GAP workloads, the
+// ablations and sensitivity sweeps, and the storage accounting. It is an oracle on the
 // reported numbers that a change to both the simulator and its tests cannot
 // pass. Regenerate with `go test ./internal/experiments -run ReportDigests
 // -update` only when a change is meant to move the figures.
@@ -109,7 +108,7 @@ func resultDigest(res sim.Result) string {
 // scheduler's interleaving at 1, 4 and 16 cores: LRU on sim.ScaledConfig
 // over a mcf/lbm/omnetpp/libquantum round-robin, where any change to the
 // order cores reach the shared LLC moves the per-core cycles and the LLC
-// counters.
+// counters. Every row replays its mix's recordings, as every cell does.
 func TestSchemeResultDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed")
@@ -122,21 +121,21 @@ func TestSchemeResultDigests(t *testing.T) {
 			pf := PFDefault()
 			cfg.L1Prefetcher = pf.L1
 			cfg.L2Prefetcher = pf.L2
-			res := sim.New(cfg, mix.Generators(), s.Factory).Run(2_000, 10_000)
+			res := sim.New(cfg, mix.Generators(12_000), s.Factory).Run(2_000, 10_000)
 			lines = append(lines, fmt.Sprintf("seed%d %s %s", seed, s.Name, resultDigest(res)))
 		}
 	}
 	names := []string{"mcf", "lbm", "omnetpp", "libquantum"}
 	for _, cores := range []int{1, 4, 16} {
-		gens := make([]trace.Generator, cores)
-		for i := range gens {
+		mix := workload.Mix{Profiles: make([]workload.Profile, cores)}
+		for i := range mix.Profiles {
 			p, err := workload.ByName(names[i%len(names)])
 			if err != nil {
 				t.Fatal(err)
 			}
-			gens[i] = p.New(i)
+			mix.Profiles[i] = p
 		}
-		res := sim.New(sim.ScaledConfig(cores), gens, LRUScheme().Factory).Run(5_000, 20_000)
+		res := sim.New(sim.ScaledConfig(cores), mix.Generators(25_000), LRUScheme().Factory).Run(5_000, 20_000)
 		lines = append(lines, fmt.Sprintf("sched%d LRU %s", cores, resultDigest(res)))
 	}
 	checkDigests(t, "scheme-results", lines)

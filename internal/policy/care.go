@@ -21,10 +21,9 @@ type CARE struct {
 	shct    []uint8 // 3-bit saturating reuse counters per signature
 	rrpv    [][]uint8
 	// lineSig remembers the fill signature for detraining on unused
-	// eviction (only maintained in sampled sets).
+	// eviction (only read in sampled sets).
 	lineSig   [][]uint64
 	lineReref [][]bool
-	sampled   []bool
 }
 
 const careTableBits = 13
@@ -37,7 +36,6 @@ func NewCARE(sets, ways, sampled int) *CARE {
 		rrpv:      newRRPV(sets, ways),
 		lineSig:   make([][]uint64, sets),
 		lineReref: make([][]bool, sets),
-		sampled:   make([]bool, sets),
 	}
 	for i := range c.shct {
 		c.shct[i] = 4
@@ -45,7 +43,6 @@ func NewCARE(sets, ways, sampled int) *CARE {
 	for s := 0; s < sets; s++ {
 		c.lineSig[s] = make([]uint64, ways)
 		c.lineReref[s] = make([]bool, ways)
-		c.sampled[s] = c.sampler.Index(mem.SetIdxOf(s)) >= 0
 	}
 	return c
 }
@@ -69,7 +66,7 @@ func (c *CARE) Victim(set mem.SetIdx, blocks []cache.Block, _ mem.Access) (int, 
 // OnHit implements cache.Policy: promote, less aggressively for obstructed
 // cores; train the signature on the first re-reference in sampled sets.
 func (c *CARE) OnHit(set mem.SetIdx, way int, _ []cache.Block, acc mem.Access) {
-	if c.sampled[set] && !c.lineReref[set][way] {
+	if c.sampler.Index(set) >= 0 && !c.lineReref[set][way] {
 		c.lineReref[set][way] = true
 		s := c.lineSig[set][way]
 		if c.shct[s] < 7 {
@@ -102,15 +99,13 @@ func (c *CARE) OnFill(set mem.SetIdx, way int, _ []cache.Block, acc mem.Access) 
 }
 
 // OnEvict implements cache.Policy: detrain signatures whose lines were
-// evicted unreferenced (sampled sets only).
+// evicted unreferenced (sampled sets only). The OnFill that follows on the
+// same way resets the line's metadata.
 func (c *CARE) OnEvict(set mem.SetIdx, way int, _ []cache.Block) {
-	if c.sampled[set] && !c.lineReref[set][way] {
+	if c.sampler.Index(set) >= 0 && !c.lineReref[set][way] {
 		s := c.lineSig[set][way]
 		if c.shct[s] > 0 {
 			c.shct[s]--
 		}
 	}
-	c.rrpv[set][way] = maxRRPV
-	c.lineReref[set][way] = false
-	c.lineSig[set][way] = 0
 }

@@ -93,7 +93,6 @@ func (d *DRRIP) OnFill(set mem.SetIdx, way int, _ []cache.Block, _ mem.Access) {
 	d.rrpv[set][way] = maxRRPV - 1
 }
 
-// OnEvict implements cache.Policy.
-func (d *DRRIP) OnEvict(set mem.SetIdx, way int, _ []cache.Block) {
-	d.rrpv[set][way] = maxRRPV
-}
+// OnEvict implements cache.Policy: the OnFill that follows on the same way
+// sets its RRPV.
+func (*DRRIP) OnEvict(mem.SetIdx, int, []cache.Block) {}

@@ -28,13 +28,11 @@ type Glider struct {
 
 	maxRRPV uint8
 	rrpv    [][]uint8
-	averse  [][]bool
 
 	// pendingF carries the feature snapshot from Victim to the OnFill of
-	// the same access (the cache invokes them back-to-back, and the policy
+	// the same access, which the cache calls next for a miss (the policy
 	// is single-threaded).
-	pendingF     [pchrDepth]uint16
-	pendingValid bool
+	pendingF [pchrDepth]uint16
 }
 
 const (
@@ -53,14 +51,10 @@ func NewGlider(sets, ways, cores, sampled int) *Glider {
 		pchr:    make([][pchrDepth]uint16, cores),
 		maxRRPV: 7,
 		rrpv:    newRRPV(sets, ways),
-		averse:  make([][]bool, sets),
 	}
 	g.optgens = make([]*optGen, g.sampler.Count())
 	for i := range g.optgens {
 		g.optgens[i] = newOptGen(ways)
-	}
-	for s := 0; s < sets; s++ {
-		g.averse[s] = make([]bool, ways)
 	}
 	return g
 }
@@ -156,7 +150,7 @@ func (g *Glider) observe(set mem.SetIdx, acc mem.Access) [pchrDepth]uint16 {
 // otherwise the max-rrpv line.
 func (g *Glider) Victim(set mem.SetIdx, blocks []cache.Block, acc mem.Access) (int, bool) {
 	f := g.observe(set, acc)
-	g.pendingF, g.pendingValid = f, true
+	g.pendingF = f
 	if w := invalidWay(blocks); w >= 0 {
 		return w, false
 	}
@@ -177,7 +171,6 @@ func (g *Glider) Victim(set mem.SetIdx, blocks []cache.Block, acc mem.Access) (i
 func (g *Glider) OnHit(set mem.SetIdx, way int, _ []cache.Block, acc mem.Access) {
 	f := g.observe(set, acc)
 	averse, confident := g.predict(acc, f)
-	g.averse[set][way] = averse
 	switch {
 	case averse:
 		g.rrpv[set][way] = g.maxRRPV
@@ -190,13 +183,7 @@ func (g *Glider) OnHit(set mem.SetIdx, way int, _ []cache.Block, acc mem.Access)
 
 // OnFill implements cache.Policy.
 func (g *Glider) OnFill(set mem.SetIdx, way int, _ []cache.Block, acc mem.Access) {
-	f := g.pendingF
-	if !g.pendingValid {
-		f = g.features(acc.Core)
-	}
-	g.pendingValid = false
-	averse, confident := g.predict(acc, f)
-	g.averse[set][way] = averse
+	averse, confident := g.predict(acc, g.pendingF)
 	switch {
 	case averse:
 		g.rrpv[set][way] = g.maxRRPV
@@ -207,8 +194,6 @@ func (g *Glider) OnFill(set mem.SetIdx, way int, _ []cache.Block, acc mem.Access
 	}
 }
 
-// OnEvict implements cache.Policy.
-func (g *Glider) OnEvict(set mem.SetIdx, way int, _ []cache.Block) {
-	g.rrpv[set][way] = g.maxRRPV
-	g.averse[set][way] = false
-}
+// OnEvict implements cache.Policy: the OnFill that follows on the same way
+// sets its RRPV.
+func (*Glider) OnEvict(mem.SetIdx, int, []cache.Block) {}

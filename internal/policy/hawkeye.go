@@ -145,9 +145,6 @@ func (h *Hawkeye) OnFill(set mem.SetIdx, way int, _ []cache.Block, acc mem.Acces
 	}
 }
 
-// OnEvict implements cache.Policy.
-func (h *Hawkeye) OnEvict(set mem.SetIdx, way int, _ []cache.Block) {
-	h.friendly[set][way] = false
-	h.lineSig[set][way] = 0
-	h.rrpv[set][way] = h.maxRRPV
-}
+// OnEvict implements cache.Policy: the OnFill that follows on the same way
+// sets its metadata.
+func (*Hawkeye) OnEvict(mem.SetIdx, int, []cache.Block) {}

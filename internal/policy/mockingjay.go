@@ -209,7 +209,6 @@ func (m *Mockingjay) OnFill(set mem.SetIdx, way int, _ []cache.Block, acc mem.Ac
 	m.nextUse[set][way] = m.clock[set] + uint64(m.predictRD(acc))
 }
 
-// OnEvict implements cache.Policy.
-func (m *Mockingjay) OnEvict(set mem.SetIdx, way int, _ []cache.Block) {
-	m.nextUse[set][way] = 0
-}
+// OnEvict implements cache.Policy: the OnFill that follows on the same way
+// sets its next use.
+func (*Mockingjay) OnEvict(mem.SetIdx, int, []cache.Block) {}

@@ -40,8 +40,8 @@ func NewPACMan(sets, ways int) *PACMan {
 	for i := 0; i < leaders; i++ {
 		h := int(mem.Mix64(uint64(i)*2+1) & uint64(sets-1))
 		m := int(mem.Mix64(uint64(i)*2+2) & uint64(sets-1))
-		p.leaderH[h%sets] = true
-		p.leaderM[m%sets] = !p.leaderH[m%sets] && true
+		p.leaderH[h] = true
+		p.leaderM[m] = !p.leaderH[m]
 	}
 	return p
 }
@@ -100,7 +100,6 @@ func (p *PACMan) OnFill(set mem.SetIdx, way int, _ []cache.Block, acc mem.Access
 	p.rrpv[set][way] = maxRRPV - 1
 }
 
-// OnEvict implements cache.Policy.
-func (p *PACMan) OnEvict(set mem.SetIdx, way int, _ []cache.Block) {
-	p.rrpv[set][way] = maxRRPV
-}
+// OnEvict implements cache.Policy: the OnFill that follows on the same way
+// sets its RRPV.
+func (*PACMan) OnEvict(mem.SetIdx, int, []cache.Block) {}

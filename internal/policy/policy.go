@@ -71,25 +71,28 @@ func Signature(pc mem.PC, isPrefetch bool, core mem.CoreID, bits uint) uint64 {
 // maps each to a dense sample index. With fewer total sets than the target,
 // every set is sampled.
 type Sampler struct {
-	groupSize int // sets per sample group
-	count     int // number of sampled sets
+	count int // number of sampled sets
 	// table caches Index per set (shared read-only across copies), replacing
 	// the per-access Mix64 divide with one load on the hot path.
 	table []int32
 }
 
-// NewSampler builds a sampler selecting `want` sets out of `sets`.
+// NewSampler builds a sampler selecting want > 0 sets out of sets. Exactly
+// one set per group of sets/want is sampled, at a mixed (pseudo-random but
+// deterministic) offset, so samples spread across the index space.
 func NewSampler(sets, want int) Sampler {
-	if want <= 0 {
-		want = 64
-	}
-	s := Sampler{groupSize: 1, count: sets}
+	groupSize, count := 1, sets
 	if sets > want {
-		s = Sampler{groupSize: sets / want, count: want}
+		groupSize, count = sets/want, want
 	}
-	s.table = make([]int32, sets)
+	s := Sampler{count: count, table: make([]int32, sets)}
 	for i := range s.table {
-		s.table[i] = int32(s.indexSlow(mem.SetIdxOf(i)))
+		s.table[i] = -1
+		group := i / groupSize
+		offset := int(mem.Mix64(uint64(group)*0x9e3779b9+12345) % uint64(groupSize))
+		if group < count && i%groupSize == offset {
+			s.table[i] = int32(group)
+		}
 	}
 	return s
 }
@@ -98,37 +101,11 @@ func NewSampler(sets, want int) Sampler {
 func (s Sampler) Count() int { return s.count }
 
 // Index returns the dense sample index of the set, or -1 if not sampled.
-// Exactly one set per group is sampled, at a mixed (pseudo-random but
-// deterministic) offset, so samples spread across the index space.
+// The set must lie within the geometry the sampler was built for.
 //
 //chromevet:hot
 func (s Sampler) Index(set mem.SetIdx) int {
-	if si := set.Int(); si < len(s.table) {
-		return int(s.table[si])
-	}
-	return s.indexSlow(set)
-}
-
-// indexSlow computes the sample index from the group geometry; the
-// constructor tabulates it per set, and Index falls back to it only for
-// sets beyond the construction geometry (or a zero-value Sampler).
-func (s Sampler) indexSlow(set mem.SetIdx) int {
-	si := set.Int()
-	if s.groupSize == 1 {
-		if si < s.count {
-			return si
-		}
-		return -1
-	}
-	group := si / s.groupSize
-	if group >= s.count {
-		return -1
-	}
-	offset := int(mem.Mix64(uint64(group)*0x9e3779b9+12345) % uint64(s.groupSize))
-	if si%s.groupSize == offset {
-		return group
-	}
-	return -1
+	return int(s.table[set.Int()])
 }
 
 // ---------------------------------------------------------------------------

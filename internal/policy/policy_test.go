@@ -43,13 +43,6 @@ func TestSamplerSmallCache(t *testing.T) {
 	}
 }
 
-func TestSamplerDefault(t *testing.T) {
-	s := NewSampler(1024, 0)
-	if s.Count() != 64 {
-		t.Fatalf("default sample count = %d, want 64", s.Count())
-	}
-}
-
 func TestSignatureDistinguishes(t *testing.T) {
 	base := Signature(0x400, false, 0, 13)
 	if Signature(0x400, true, 0, 13) == base {
@@ -405,7 +398,7 @@ func TestSHiPPPPrefetchInsertedDistant(t *testing.T) {
 func TestSHiPPPCounterSaturates(t *testing.T) {
 	const sets, ways = 16, 2
 	p := NewSHiPPP(sets, ways, sets)
-	if !p.sampled[0] {
+	if p.sampler.Index(0) < 0 {
 		t.Fatal("set 0 is not sampled")
 	}
 	blocks := make([]cache.Block, ways)

@@ -16,7 +16,6 @@ type SHiPPP struct {
 	rrpv      [][]uint8
 	lineSig   [][]uint64
 	lineReref [][]bool
-	sampled   []bool
 }
 
 const shipTableBits = 14
@@ -29,7 +28,6 @@ func NewSHiPPP(sets, ways, sampled int) *SHiPPP {
 		rrpv:      newRRPV(sets, ways),
 		lineSig:   make([][]uint64, sets),
 		lineReref: make([][]bool, sets),
-		sampled:   make([]bool, sets),
 	}
 	for i := range p.shct {
 		p.shct[i] = 2
@@ -37,7 +35,6 @@ func NewSHiPPP(sets, ways, sampled int) *SHiPPP {
 	for s := 0; s < sets; s++ {
 		p.lineSig[s] = make([]uint64, ways)
 		p.lineReref[s] = make([]bool, ways)
-		p.sampled[s] = p.sampler.Index(mem.SetIdxOf(s)) >= 0
 	}
 	return p
 }
@@ -57,7 +54,7 @@ func (p *SHiPPP) Victim(set mem.SetIdx, blocks []cache.Block, _ mem.Access) (int
 // OnHit implements cache.Policy: SHiP++ trains only on the first
 // re-reference and promotes demand hits to MRU.
 func (p *SHiPPP) OnHit(set mem.SetIdx, way int, _ []cache.Block, acc mem.Access) {
-	if p.sampled[set] && !p.lineReref[set][way] {
+	if p.sampler.Index(set) >= 0 && !p.lineReref[set][way] {
 		p.lineReref[set][way] = true
 		s := p.lineSig[set][way]
 		if p.shct[s] < 7 {
@@ -91,15 +88,14 @@ func (p *SHiPPP) OnFill(set mem.SetIdx, way int, _ []cache.Block, acc mem.Access
 	p.lineReref[set][way] = false
 }
 
-// OnEvict implements cache.Policy.
+// OnEvict implements cache.Policy: detrain the signature of a line evicted
+// unreferenced (sampled sets only). The OnFill that follows on the same way
+// resets the line's metadata.
 func (p *SHiPPP) OnEvict(set mem.SetIdx, way int, _ []cache.Block) {
-	if p.sampled[set] && !p.lineReref[set][way] {
+	if p.sampler.Index(set) >= 0 && !p.lineReref[set][way] {
 		s := p.lineSig[set][way]
 		if p.shct[s] > 0 {
 			p.shct[s]--
 		}
 	}
-	p.rrpv[set][way] = maxRRPV
-	p.lineReref[set][way] = false
-	p.lineSig[set][way] = 0
 }

@@ -3,9 +3,7 @@ package sim
 import (
 	"testing"
 
-	"chrome/internal/cache"
 	"chrome/internal/mem"
-	"chrome/internal/policy"
 	"chrome/internal/prefetch"
 	"chrome/internal/trace"
 	"chrome/internal/workload"
@@ -17,7 +15,7 @@ func TestPrefetchFillsAllLevels(t *testing.T) {
 	p, _ := workload.ByName("milc")
 	cfg := ScaledConfig(1)
 	cfg.L1Prefetcher = func() prefetch.Prefetcher { return prefetch.NewNextLine(1) }
-	sys := New(cfg, []trace.Generator{p.New(0)}, lruFactory)
+	sys := New(cfg, workload.HomogeneousMix(p, 1, 35_000), lruFactory)
 	sys.Run(5_000, 30_000)
 	if sys.L1(0).Stats().PrefetchFills == 0 {
 		t.Error("no prefetch fills at L1")
@@ -69,7 +67,7 @@ func TestSimulationIsDeterministic(t *testing.T) {
 		cfg := ScaledConfig(2)
 		cfg.L1Prefetcher = func() prefetch.Prefetcher { return prefetch.NewNextLine(1) }
 		cfg.L2Prefetcher = func() prefetch.Prefetcher { return prefetch.NewStride(2) }
-		sys := New(cfg, workload.HomogeneousMix(p, 2), chromeFactory)
+		sys := New(cfg, workload.HomogeneousMix(p, 2, 60_000), chromeFactory)
 		return sys.Run(10_000, 50_000)
 	}
 	a, b := run(), run()
@@ -93,7 +91,7 @@ func TestPaperConfigRuns(t *testing.T) {
 	cfg := PaperConfig(4)
 	cfg.L1Prefetcher = func() prefetch.Prefetcher { return prefetch.NewNextLine(1) }
 	cfg.L2Prefetcher = func() prefetch.Prefetcher { return prefetch.NewStride(2) }
-	sys := New(cfg, workload.HomogeneousMix(p, 4), lruFactory)
+	sys := New(cfg, workload.HomogeneousMix(p, 4, 25_000), lruFactory)
 	res := sys.Run(5_000, 20_000)
 	if res.IPC[0] <= 0 {
 		t.Fatal("paper-size configuration produced zero IPC")
@@ -112,7 +110,7 @@ func TestCoreCountMismatchPanics(t *testing.T) {
 		}
 	}()
 	p, _ := workload.ByName("gcc")
-	New(ScaledConfig(4), []trace.Generator{p.New(0)}, lruFactory)
+	New(ScaledConfig(4), workload.HomogeneousMix(p, 1, 1_000), lruFactory)
 }
 
 // TestSlowerMemoryLowersIPC: sanity of the timing model — a much slower
@@ -123,44 +121,12 @@ func TestSlowerMemoryLowersIPC(t *testing.T) {
 		cfg := ScaledConfig(1)
 		cfg.DRAM.RowMiss = rowMiss
 		cfg.DRAM.RowHit = rowMiss / 3
-		sys := New(cfg, []trace.Generator{p.New(0)}, lruFactory)
+		sys := New(cfg, workload.HomogeneousMix(p, 1, 45_000), lruFactory)
 		return sys.Run(5_000, 40_000).IPC[0]
 	}
 	fast, slow := run(100), run(800)
 	if slow >= fast {
 		t.Fatalf("IPC with slow DRAM (%v) should be below fast DRAM (%v)", slow, fast)
-	}
-}
-
-// TestBypassTrackerIntegration: a bypass-heavy policy must populate the
-// Fig. 9 tracker through the full system path.
-func TestBypassTrackerIntegration(t *testing.T) {
-	p, _ := workload.ByName("xz")
-	cfg := ScaledConfig(2)
-	sys := New(cfg, workload.HomogeneousMix(p, 2), func(sets, ways, cores int, _ func(mem.CoreID) bool) cache.Policy {
-		return policy.NewMockingjay(sets, ways, 64)
-	})
-	tr := cache.NewReuseTracker(0)
-	sys.SetBypassTracker(tr)
-	sys.Run(10_000, 60_000)
-	if sys.LLC().Stats().Bypasses > 0 && tr.Total == 0 {
-		t.Fatal("bypasses happened but the tracker saw none")
-	}
-}
-
-// TestEvictionTrackerIntegration mirrors Fig. 2's measurement path.
-func TestEvictionTrackerIntegration(t *testing.T) {
-	p, _ := workload.ByName("gcc")
-	cfg := ScaledConfig(2)
-	cfg.L1Prefetcher = func() prefetch.Prefetcher { return prefetch.NewNextLine(1) }
-	sys := New(cfg, workload.HomogeneousMix(p, 2), func(sets, ways, cores int, _ func(mem.CoreID) bool) cache.Policy {
-		return policy.NewGlider(sets, ways, cores, 64)
-	})
-	tr := cache.NewReuseTracker(0)
-	sys.SetEvictionTracker(tr)
-	sys.Run(10_000, 60_000)
-	if tr.Total == 0 {
-		t.Fatal("no unused evictions recorded on a thrashing workload")
 	}
 }
 
@@ -176,7 +142,7 @@ func TestScalesTo16Cores(t *testing.T) {
 	p, _ := workload.ByName("xalancbmk")
 	var prevReads uint64
 	for _, cores := range []int{4, 8, 16} {
-		sys := New(ScaledConfig(cores), workload.HomogeneousMix(p, cores), lruFactory)
+		sys := New(ScaledConfig(cores), workload.HomogeneousMix(p, cores, 18_000), lruFactory)
 		res := sys.Run(3_000, 15_000)
 		for i, ipc := range res.IPC {
 			if ipc <= 0 {

@@ -3,7 +3,7 @@
 // management policy, a banked DRAM model, and the C-AMAT monitor. It runs
 // warmup + measurement phases and reports the metrics the paper's
 // evaluation uses (per-core IPC, LLC demand miss ratio, EPHR, bypass
-// coverage/efficiency).
+// coverage).
 package sim
 
 import (
@@ -131,7 +131,7 @@ type System struct {
 
 // New assembles a system running the LLC policy built by factory, with one
 // trace generator per core. The system owns gens from here on: build fresh
-// generators per system (workload.Profile.New).
+// generators per system (workload.HomogeneousMix, workload.Mix.Generators).
 func New(cfg Config, gens []trace.Generator, factory PolicyFactory) *System {
 	if len(gens) != cfg.Cores {
 		panic(fmt.Sprintf("sim: %d generators for %d cores", len(gens), cfg.Cores))
@@ -176,18 +176,6 @@ func (s *System) DRAM() *DRAM { return s.dram }
 
 // Core returns core i.
 func (s *System) Core(i int) *cpu.Core { return s.cores[i] }
-
-// SetEvictionTracker installs a Fig. 2 unused-eviction tracker on the LLC.
-// The LLC keeps t, so each system needs a tracker of its own.
-func (s *System) SetEvictionTracker(t *cache.ReuseTracker) {
-	s.llc.SetEvictionTracker(t)
-}
-
-// SetBypassTracker installs a Fig. 9 bypass-efficiency tracker on the LLC.
-// The LLC keeps t, so each system needs a tracker of its own.
-func (s *System) SetBypassTracker(t *cache.ReuseTracker) {
-	s.llc.SetBypassTracker(t)
-}
 
 // memAccess is the cpu.MemFunc: it walks the hierarchy for one demand
 // access and returns the load-to-use latency.

@@ -9,7 +9,6 @@ import (
 	"chrome/internal/mem"
 	"chrome/internal/policy"
 	"chrome/internal/prefetch"
-	"chrome/internal/trace"
 	"chrome/internal/workload"
 )
 
@@ -30,7 +29,7 @@ func TestSingleCoreLRURun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := New(ScaledConfig(1), []trace.Generator{p.New(0)}, lruFactory)
+	sys := New(ScaledConfig(1), workload.HomogeneousMix(p, 1, 60_000), lruFactory)
 	res := sys.Run(10_000, 50_000)
 	if res.IPC[0] <= 0 {
 		t.Fatalf("IPC = %v, want > 0", res.IPC[0])
@@ -57,7 +56,7 @@ func TestMultiCoreCHROMERunsAndBypasses(t *testing.T) {
 	cfg := ScaledConfig(4)
 	cfg.L1Prefetcher = func() prefetch.Prefetcher { return prefetch.NewNextLine(1) }
 	cfg.L2Prefetcher = func() prefetch.Prefetcher { return prefetch.NewStride(2) }
-	sys := New(cfg, workload.HomogeneousMix(p, 4), chromeFactory)
+	sys := New(cfg, workload.HomogeneousMix(p, 4, 180_000), chromeFactory)
 	res := sys.Run(20_000, 160_000)
 	for i, ipc := range res.IPC {
 		if ipc <= 0 {
@@ -96,7 +95,7 @@ func TestCAMATMonitorNearExactUnion(t *testing.T) {
 	cfg := ScaledConfig(4)
 	cfg.L1Prefetcher = func() prefetch.Prefetcher { return prefetch.NewNextLine(1) }
 	cfg.L2Prefetcher = func() prefetch.Prefetcher { return prefetch.NewStride(2) }
-	sys := New(cfg, mix.Generators(), chromeFactory)
+	sys := New(cfg, mix.Generators(120_000), chromeFactory)
 	type interval struct{ start, end mem.Cycle }
 	ivs := make([][]interval, cfg.Cores)
 	late := 0
@@ -143,7 +142,7 @@ func TestCAMATMonitorRecordsActivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := New(ScaledConfig(2), workload.HomogeneousMix(p, 2), lruFactory)
+	sys := New(ScaledConfig(2), workload.HomogeneousMix(p, 2, 25_000), lruFactory)
 	sys.Run(5_000, 20_000)
 	for core := 0; core < 2; core++ {
 		if c := sys.Monitor().CAMAT(mem.CoreIDOf(core)); c <= 0 {

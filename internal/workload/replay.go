@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,30 +89,20 @@ func Recorded(p Profile, budget mem.Instr) *trace.Recording {
 	return rec
 }
 
-// NewReplay returns a zero-allocation replay of the profile's stream for
-// the given core, equivalent record-for-record to p.New(core) over the
-// first budget instructions (trace.Rebase and the replayer apply the same
-// per-core offset).
-func (p Profile) NewReplay(core int, budget mem.Instr) trace.Generator {
-	return Recorded(p, budget).Replayer(coreSpacing * mem.AddrOf(uint64(core)))
+// HomogeneousMix is the Generators of the mix that runs p on n cores: n
+// replayers of one frozen recording.
+func HomogeneousMix(p Profile, n int, budget mem.Instr) []trace.Generator {
+	return Mix{Profiles: slices.Repeat([]Profile{p}, n)}.Generators(budget)
 }
 
-// HomogeneousReplayMix is HomogeneousMix over shared recordings: n
-// replayers of one frozen stream, one per core.
-func HomogeneousReplayMix(p Profile, n int, budget mem.Instr) []trace.Generator {
-	rec := Recorded(p, budget)
-	gens := make([]trace.Generator, n)
-	for i := range gens {
-		gens[i] = rec.Replayer(coreSpacing * mem.AddrOf(uint64(i)))
-	}
-	return gens
-}
-
-// ReplayGenerators is Mix.Generators over shared recordings.
-func (m Mix) ReplayGenerators(budget mem.Instr) []trace.Generator {
+// Generators returns the mix's per-core replayers of its profiles' frozen
+// recordings at budget: core i replays m.Profiles[i].New(i) record for
+// record over the first budget instructions, per-core address offset
+// included.
+func (m Mix) Generators(budget mem.Instr) []trace.Generator {
 	gens := make([]trace.Generator, len(m.Profiles))
 	for i, p := range m.Profiles {
-		gens[i] = p.NewReplay(i, budget)
+		gens[i] = Recorded(p, budget).Replayer(coreSpacing * mem.AddrOf(uint64(i)))
 	}
 	return gens
 }

@@ -41,24 +41,6 @@ func TestRecordedMatchesLiveAllProfiles(t *testing.T) {
 	}
 }
 
-func TestNewReplayMatchesNew(t *testing.T) {
-	p, err := ByName("mcf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const budget = 20_000
-	for _, core := range []int{0, 3} {
-		live := p.New(core)
-		rep := p.NewReplay(core, budget)
-		rec := Recorded(p, budget)
-		for i := 0; i < rec.Len(); i++ {
-			if got, want := rep.Next(), live.Next(); got != want {
-				t.Fatalf("core %d record %d: replay %+v, live %+v", core, i, got, want)
-			}
-		}
-	}
-}
-
 // TestRecordedCacheSharesOneRecording makes the first Recorded call for its
 // (profile, budget) from 8 goroutines at once, at a budget no other test
 // records: all of them must get one recording, and under -race a cache
@@ -95,7 +77,7 @@ func TestRecordedCacheSharesOneRecording(t *testing.T) {
 	if GenerationTime() <= 0 {
 		t.Fatal("generation time must be accounted")
 	}
-	gens := HomogeneousReplayMix(p, 4, budget)
+	gens := HomogeneousMix(p, 4, budget)
 	if len(gens) != 4 {
 		t.Fatalf("got %d generators, want 4", len(gens))
 	}
@@ -106,24 +88,39 @@ func TestReplayMixUsesPerCoreOffsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gens := HomogeneousReplayMix(p, 2, 5_000)
+	gens := HomogeneousMix(p, 2, 5_000)
 	r0, r1 := gens[0].Next(), gens[1].Next()
 	if r1.Addr != r0.Addr+coreSpacing {
 		t.Fatalf("core 1 address %#x, want core 0 %#x + spacing", r1.Addr, r0.Addr)
 	}
 }
 
+// TestMixReplayGeneratorsMatchLive holds both mix constructors to the live
+// generators recordings are made from: core i of Mix.Generators(budget)
+// and of HomogeneousMix(p, n, budget) replays Profile.New(i) record for
+// record over the recorded window, its per-core address offset included.
 func TestMixReplayGeneratorsMatchLive(t *testing.T) {
-	mixes := HeterogeneousMixes(4, 1, 42)
-	m := mixes[0]
 	const budget = 10_000
-	live := m.Generators()
-	rep := m.ReplayGenerators(budget)
-	for core := range live {
-		rec := Recorded(m.Profiles[core], budget)
-		for i := 0; i < rec.Len(); i++ {
-			if got, want := rep[core].Next(), live[core].Next(); got != want {
-				t.Fatalf("core %d record %d: replay %+v, live %+v", core, i, got, want)
+	hetero := HeterogeneousMixes(4, 1, 42)[0]
+	mcf, err := ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	homo := Mix{Name: "mcf x4", Profiles: []Profile{mcf, mcf, mcf, mcf}}
+	for _, tc := range []struct {
+		mix  Mix
+		gens []trace.Generator
+	}{
+		{hetero, hetero.Generators(budget)},
+		{homo, HomogeneousMix(mcf, 4, budget)},
+	} {
+		for core, rep := range tc.gens {
+			p := tc.mix.Profiles[core]
+			live := p.New(core)
+			for i := 0; i < Recorded(p, budget).Len(); i++ {
+				if got, want := rep.Next(), live.Next(); got != want {
+					t.Fatalf("%s core %d record %d: replay %+v, live %+v", tc.mix.Name, core, i, got, want)
+				}
 			}
 		}
 	}
@@ -160,7 +157,7 @@ func TestTraceDirRoundTrip(t *testing.T) {
 	}
 	const budget = 7_000
 	rec := Recorded(p, budget)
-	again := trace.RecordStream(p.NewReplay(0, budget), budget)
+	again := trace.RecordStream(HomogeneousMix(p, 1, budget)[0], budget)
 	if again.Name() != rec.Name() || again.Len() != rec.Len() || again.Instructions() != rec.Instructions() {
 		t.Fatalf("re-recorded %q/%d/%d, cached %q/%d/%d",
 			again.Name(), again.Len(), again.Instructions(), rec.Name(), rec.Len(), rec.Instructions())

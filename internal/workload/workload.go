@@ -39,9 +39,11 @@ type Profile struct {
 // coreSpacing separates per-core address spaces (64 GiB apart).
 const coreSpacing = mem.Addr(1) << 36
 
-// New instantiates the profile's trace generator for the given core.
+// New instantiates the profile's live trace generator for the given core.
 // Cores running the same profile execute the same access pattern over
-// disjoint physical regions (multi-programmed, not shared-memory).
+// disjoint physical regions (multi-programmed, not shared-memory). New is
+// what a recording is made from; simulations replay recordings
+// (HomogeneousMix, Mix.Generators).
 func (p Profile) New(core int) trace.Generator {
 	g := p.build(profileRegion(p.Name), p.seed())
 	return trace.Rebase(g, coreSpacing*mem.AddrOf(uint64(core)))
@@ -135,30 +137,12 @@ func Names() []string {
 	return out
 }
 
-// HomogeneousMix instantiates n copies of the profile, one per core.
-func HomogeneousMix(p Profile, n int) []trace.Generator {
-	gens := make([]trace.Generator, n)
-	for i := range gens {
-		gens[i] = p.New(i)
-	}
-	return gens
-}
-
 // Mix is a named selection of profiles, one per core.
 type Mix struct {
 	// Name identifies the mix (e.g. "hetero-4c-017").
 	Name string
 	// Profiles lists one profile per core.
 	Profiles []Profile
-}
-
-// Generators instantiates the mix's trace generators.
-func (m Mix) Generators() []trace.Generator {
-	gens := make([]trace.Generator, len(m.Profiles))
-	for i, p := range m.Profiles {
-		gens[i] = p.New(i)
-	}
-	return gens
 }
 
 // HeterogeneousMixes reproduces the paper's random heterogeneous mix

@@ -68,7 +68,7 @@ func TestCoresGetDisjointAddressSpaces(t *testing.T) {
 
 func TestHomogeneousMix(t *testing.T) {
 	p, _ := ByName("milc")
-	gens := HomogeneousMix(p, 4)
+	gens := HomogeneousMix(p, 4, 5_000)
 	if len(gens) != 4 {
 		t.Fatalf("mix size %d, want 4", len(gens))
 	}
@@ -115,7 +115,7 @@ func TestHeterogeneousMixesDeterministic(t *testing.T) {
 
 func TestMixGenerators(t *testing.T) {
 	m := HeterogeneousMixes(8, 1, 7)[0]
-	gens := m.Generators()
+	gens := m.Generators(5_000)
 	if len(gens) != 8 {
 		t.Fatalf("generators = %d, want 8", len(gens))
 	}
