@@ -3,7 +3,9 @@ package sim
 import (
 	"testing"
 
+	"chrome/internal/cache"
 	"chrome/internal/mem"
+	"chrome/internal/policy"
 	"chrome/internal/prefetch"
 	"chrome/internal/trace"
 	"chrome/internal/workload"
@@ -127,6 +129,78 @@ func TestSlowerMemoryLowersIPC(t *testing.T) {
 	fast, slow := run(100), run(800)
 	if slow >= fast {
 		t.Fatalf("IPC with slow DRAM (%v) should be below fast DRAM (%v)", slow, fast)
+	}
+}
+
+// eventCounter wraps an LLC policy and counts, from outside the cache, the
+// bypasses and unused evictions it decides: the events the Fig. 9 and
+// Fig. 2 probes record through the same kind of wrapper.
+type eventCounter struct {
+	cache.Policy
+	bypasses, unusedEvictions uint64
+}
+
+func (e *eventCounter) Victim(set mem.SetIdx, blocks []cache.Block, acc mem.Access) (int, bool) {
+	way, bypass := e.Policy.Victim(set, blocks, acc)
+	if bypass {
+		e.bypasses++
+	}
+	return way, bypass
+}
+
+func (e *eventCounter) OnEvict(set mem.SetIdx, way int, blocks []cache.Block) {
+	if !blocks[way].Used {
+		e.unusedEvictions++
+	}
+	e.Policy.OnEvict(set, way, blocks)
+}
+
+// runCounted runs a 2-core mix of the named workload for 150K instructions
+// with no warmup, so the LLC's counters and the wrapper cover the same
+// requests. Mockingjay starts bypassing on xz only past 100K.
+func runCounted(t *testing.T, name string, cfg Config, inner PolicyFactory) (*cache.Stats, *eventCounter) {
+	t.Helper()
+	p, err := workload.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ec *eventCounter
+	sys := New(cfg, workload.HomogeneousMix(p, 2, 150_000), func(sets, ways, cores int, obstructed func(mem.CoreID) bool) cache.Policy {
+		ec = &eventCounter{Policy: inner(sets, ways, cores, obstructed)}
+		return ec
+	})
+	sys.Run(0, 150_000)
+	return sys.LLC().Stats(), ec
+}
+
+// TestBypassTrackerIntegration: through the full system path, a policy
+// wrapper on the LLC sees every bypass the LLC counts (Fig. 9's
+// measurement path), and a bypass-heavy policy produces some.
+func TestBypassTrackerIntegration(t *testing.T) {
+	st, ec := runCounted(t, "xz", ScaledConfig(2), func(sets, ways, _ int, _ func(mem.CoreID) bool) cache.Policy {
+		return policy.NewMockingjay(sets, ways, 64)
+	})
+	if st.Bypasses == 0 {
+		t.Fatal("Mockingjay bypassed nothing on xz")
+	}
+	if ec.bypasses != st.Bypasses {
+		t.Fatalf("LLC counted %d bypasses, the wrapper saw %d", st.Bypasses, ec.bypasses)
+	}
+}
+
+// TestEvictionTrackerIntegration mirrors Fig. 2's measurement path: a
+// wrapper on the LLC sees every unused eviction the LLC counts.
+func TestEvictionTrackerIntegration(t *testing.T) {
+	cfg := ScaledConfig(2)
+	cfg.L1Prefetcher = func() prefetch.Prefetcher { return prefetch.NewNextLine(1) }
+	st, ec := runCounted(t, "gcc", cfg, func(sets, ways, cores int, _ func(mem.CoreID) bool) cache.Policy {
+		return policy.NewGlider(sets, ways, cores, 64)
+	})
+	if st.EvictionsUnused == 0 {
+		t.Fatal("no unused evictions on a thrashing workload")
+	}
+	if ec.unusedEvictions != st.EvictionsUnused {
+		t.Fatalf("LLC counted %d unused evictions, the wrapper saw %d", st.EvictionsUnused, ec.unusedEvictions)
 	}
 }
 

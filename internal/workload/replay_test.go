@@ -95,32 +95,40 @@ func TestReplayMixUsesPerCoreOffsets(t *testing.T) {
 	}
 }
 
-// TestMixReplayGeneratorsMatchLive holds both mix constructors to the live
-// generators recordings are made from: core i of Mix.Generators(budget)
-// and of HomogeneousMix(p, n, budget) replays Profile.New(i) record for
-// record over the recorded window, its per-core address offset included.
-func TestMixReplayGeneratorsMatchLive(t *testing.T) {
-	const budget = 10_000
-	hetero := HeterogeneousMixes(4, 1, 42)[0]
-	mcf, err := ByName("mcf")
+// TestNewReplayMatchesNew holds HomogeneousMix, which replaced
+// Profile.NewReplay, to the live generator recordings are made from: core
+// i of HomogeneousMix(p, n, budget) replays p.New(i) record for record over
+// the recorded window, its per-core address offset included.
+func TestNewReplayMatchesNew(t *testing.T) {
+	p, err := ByName("mcf")
 	if err != nil {
 		t.Fatal(err)
 	}
-	homo := Mix{Name: "mcf x4", Profiles: []Profile{mcf, mcf, mcf, mcf}}
-	for _, tc := range []struct {
-		mix  Mix
-		gens []trace.Generator
-	}{
-		{hetero, hetero.Generators(budget)},
-		{homo, HomogeneousMix(mcf, 4, budget)},
-	} {
-		for core, rep := range tc.gens {
-			p := tc.mix.Profiles[core]
-			live := p.New(core)
-			for i := 0; i < Recorded(p, budget).Len(); i++ {
-				if got, want := rep.Next(), live.Next(); got != want {
-					t.Fatalf("%s core %d record %d: replay %+v, live %+v", tc.mix.Name, core, i, got, want)
-				}
+	const budget = 20_000
+	rec := Recorded(p, budget)
+	for core, rep := range HomogeneousMix(p, 4, budget) {
+		live := p.New(core)
+		for i := 0; i < rec.Len(); i++ {
+			if got, want := rep.Next(), live.Next(); got != want {
+				t.Fatalf("core %d record %d: replay %+v, live %+v", core, i, got, want)
+			}
+		}
+	}
+}
+
+// TestMixReplayGeneratorsMatchLive holds a heterogeneous mix to the live
+// generators: core i of Mix.Generators(budget) replays
+// m.Profiles[i].New(i) record for record over the recorded window, its
+// per-core address offset included.
+func TestMixReplayGeneratorsMatchLive(t *testing.T) {
+	const budget = 10_000
+	mix := HeterogeneousMixes(4, 1, 42)[0]
+	for core, rep := range mix.Generators(budget) {
+		p := mix.Profiles[core]
+		live := p.New(core)
+		for i := 0; i < Recorded(p, budget).Len(); i++ {
+			if got, want := rep.Next(), live.Next(); got != want {
+				t.Fatalf("%s core %d record %d: replay %+v, live %+v", mix.Name, core, i, got, want)
 			}
 		}
 	}
