@@ -264,7 +264,6 @@ func (a *Agent) step(set mem.SetIdx, acc mem.Access, hit bool) Action {
 			TriggerHit: hit,
 			AddrHash:   HashAddr(acc.Addr),
 			Core:       uint8(acc.Core.Int()),
-			Prefetch:   acc.IsPrefetch(),
 		})
 	}
 	return act

@@ -22,44 +22,40 @@ const checkpointVersion = 1
 // ErrBadCheckpoint reports a malformed or incompatible checkpoint stream.
 var ErrBadCheckpoint = errors.New("chrome: bad Q-table checkpoint")
 
+// checkpointHeader opens a checkpoint: the magic, the format version and
+// the table's shape (features, SubTables, SubTableBits). It is followed by
+// the saving run's SARSA update count and then every partial, in the
+// table's (feature, sub-table, slot, action) order.
+type checkpointHeader struct {
+	Magic     [4]byte
+	Version   uint8
+	Features  uint8
+	SubTables uint8
+	Bits      uint8
+}
+
+func (qt *QTable) header() checkpointHeader {
+	return checkpointHeader{checkpointMagic, checkpointVersion, uint8(qt.n), SubTables, SubTableBits}
+}
+
 // WriteTo serializes the Q-table's learned state. It implements
 // io.WriterTo.
 func (qt *QTable) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var n int64
-	write := func(data any) error {
+	for _, data := range []any{qt.header(), qt.updates, qt.partials} {
 		if err := binary.Write(bw, binary.LittleEndian, data); err != nil {
-			return err
+			return n, err
 		}
 		n += int64(binary.Size(data))
-		return nil
-	}
-	header := struct {
-		Magic     [4]byte
-		Version   uint8
-		Features  uint8
-		SubTables uint8
-		Bits      uint8
-	}{checkpointMagic, checkpointVersion, uint8(qt.n), uint8(qt.cfg.SubTables), uint8(qt.cfg.SubTableBits)}
-	if err := write(header); err != nil {
-		return n, err
-	}
-	if err := write(qt.updates); err != nil {
-		return n, err
-	}
-	for f := 0; f < qt.n; f++ {
-		for t := 0; t < qt.cfg.SubTables; t++ {
-			if err := write(qt.partials[f][t]); err != nil {
-				return n, err
-			}
-		}
 	}
 	return n, bw.Flush()
 }
 
-// ReadFrom restores a Q-table's learned state from a checkpoint written by
-// WriteTo. The receiving table's configuration (feature count, sub-tables,
-// bits) must match the checkpoint's. On error the table is unchanged. It
+// ReadFrom restores a Q-table's learned partials from a checkpoint written
+// by WriteTo. The checkpoint's shape must be the receiving table's. The
+// saved update count is read past, not restored: Updates and the agent's
+// UPKSA count the loading run alone. On error the table is unchanged. It
 // implements io.ReaderFrom.
 func (qt *QTable) ReadFrom(r io.Reader) (int64, error) {
 	br := bufio.NewReader(r)
@@ -71,46 +67,31 @@ func (qt *QTable) ReadFrom(r io.Reader) (int64, error) {
 		n += int64(binary.Size(data))
 		return nil
 	}
-	var header struct {
-		Magic     [4]byte
-		Version   uint8
-		Features  uint8
-		SubTables uint8
-		Bits      uint8
-	}
-	if err := read(&header); err != nil {
+	var h checkpointHeader
+	if err := read(&h); err != nil {
 		return n, fmt.Errorf("%w: short header: %v", ErrBadCheckpoint, err)
 	}
+	want := qt.header()
 	switch {
-	case header.Magic != checkpointMagic:
-		return n, fmt.Errorf("%w: bad magic %q", ErrBadCheckpoint, header.Magic[:])
-	case header.Version != checkpointVersion:
-		return n, fmt.Errorf("%w: unsupported version %d", ErrBadCheckpoint, header.Version)
-	case int(header.Features) != qt.n,
-		int(header.SubTables) != qt.cfg.SubTables,
-		int(header.Bits) != qt.cfg.SubTableBits:
+	case h.Magic != want.Magic:
+		return n, fmt.Errorf("%w: bad magic %q", ErrBadCheckpoint, h.Magic[:])
+	case h.Version != want.Version:
+		return n, fmt.Errorf("%w: unsupported version %d", ErrBadCheckpoint, h.Version)
+	case h != want:
 		return n, fmt.Errorf("%w: checkpoint shape %dx%dx2^%d does not match table %dx%dx2^%d",
-			ErrBadCheckpoint, header.Features, header.SubTables, header.Bits,
-			qt.n, qt.cfg.SubTables, qt.cfg.SubTableBits)
+			ErrBadCheckpoint, h.Features, h.SubTables, h.Bits, want.Features, want.SubTables, want.Bits)
 	}
 	// Decode into a buffer of its own and copy into the table only once
 	// the whole checkpoint has been read, so a failed load leaves the
 	// table as it was.
-	var updates uint64
-	if err := read(&updates); err != nil {
+	if err := read(new(uint64)); err != nil {
 		return n, fmt.Errorf("%w: truncated: %v", ErrBadCheckpoint, err)
 	}
-	entries := (1 << qt.cfg.SubTableBits) * NumActions
-	partials := make([]int16, qt.n*qt.cfg.SubTables*entries)
+	partials := make([]int16, len(qt.partials))
 	if err := read(partials); err != nil {
 		return n, fmt.Errorf("%w: truncated partials: %v", ErrBadCheckpoint, err)
 	}
-	qt.updates = updates
-	for f := 0; f < qt.n; f++ {
-		for t := 0; t < qt.cfg.SubTables; t++ {
-			partials = partials[copy(qt.partials[f][t], partials):]
-		}
-	}
+	copy(qt.partials, partials)
 	return n, nil
 }
 
@@ -121,8 +102,8 @@ func (a *Agent) SaveCheckpoint(w io.Writer) error {
 }
 
 // LoadCheckpoint warm-starts the agent from a saved Q-table. The agent's
-// configuration must match the checkpoint's table shape. A checkpoint that
-// fails to load leaves the agent unchanged.
+// feature count must match the checkpoint's. A checkpoint that fails to
+// load leaves the agent unchanged.
 func (a *Agent) LoadCheckpoint(r io.Reader) error {
 	_, err := a.qt.ReadFrom(r)
 	return err

@@ -44,8 +44,47 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if trained.QTable().Updates() != fresh.QTable().Updates() {
-		t.Fatal("update counter not restored")
+	// The update count is the loading run's own, and it has made none.
+	if got := fresh.QTable().Updates(); got != 0 {
+		t.Fatalf("a loaded table reports %d updates, want 0", got)
+	}
+}
+
+// TestWarmStartCountsOnlyLoadingRun drives one fixed hit/miss stream
+// through a fresh agent and through one warm-started from a trained
+// checkpoint. A SARSA update fires on each EQ overflow, which the stream
+// alone decides, so both must report the same updates and UPKSA: the
+// saving run's updates are not the loading run's.
+func TestWarmStartCountsOnlyLoadingRun(t *testing.T) {
+	cfg := testConfig()
+	var buf bytes.Buffer
+	if err := trainAgent(t, cfg, 40000).SaveCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	cold, warm := New(cfg, 16, 2), New(cfg, 16, 2)
+	if err := warm.LoadCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	blocks := make([]cache.Block, 2)
+	for i := 0; i < 20000; i++ {
+		set := mem.SetIdx(i % 16)
+		acc := mem.Access{PC: mem.PCOf(uint64(i % 7)), Addr: mem.Addr(i % 97 * 64), Type: mem.Load, Cycle: mem.CycleOf(uint64(i))}
+		for _, a := range []*Agent{cold, warm} {
+			if i%3 == 0 {
+				a.OnHit(set, i%2, blocks, acc)
+			} else {
+				a.Victim(set, blocks, acc)
+			}
+		}
+	}
+	if cold.QTable().Updates() == 0 {
+		t.Fatal("the stream drove no SARSA update")
+	}
+	if w, c := warm.QTable().Updates(), cold.QTable().Updates(); w != c {
+		t.Fatalf("warm-started agent reports %d updates, a fresh one %d over the same stream", w, c)
+	}
+	if w, c := warm.UPKSA(), cold.UPKSA(); w != c {
+		t.Fatalf("warm-started agent reports UPKSA %v, a fresh one %v over the same stream", w, c)
 	}
 }
 
@@ -76,8 +115,8 @@ func TestCheckpointShapeMismatch(t *testing.T) {
 	if err := trained.SaveCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	other := DefaultConfig()
-	other.SubTables = 2
+	other := testConfig()
+	other.StateFeatures = []FeatureKind{FeatPCSignature}
 	mismatched := New(other, 16, 2)
 	if err := mismatched.LoadCheckpoint(&buf); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("err = %v, want ErrBadCheckpoint", err)
@@ -129,21 +168,24 @@ func TestFailedLoadLeavesAgentUnchanged(t *testing.T) {
 // error wrapping ErrBadCheckpoint, never a panic or a bare error, and
 // leaves the agent's table as a fresh agent's; an accepted input saves
 // back as exactly the bytes the reader consumed (a prefix of the input:
-// the reader stops after the last partial). The table is shrunk to 2
-// sub-tables of 8 entries, so a whole valid checkpoint is a few hundred
-// bytes and mutations reach the accept path.
+// the reader stops after the last partial), but for the update count,
+// which is the loading table's own (0). The table has one feature, so a
+// whole valid checkpoint is 64 KiB of partials behind 16 bytes of header
+// and count. The seeds are such a checkpoint, a truncation of it, and a
+// copy whose header gives 2 sub-tables.
 func FuzzLoadCheckpoint(f *testing.F) {
 	cfg := testConfig()
-	cfg.SubTables = 2
-	cfg.SubTableBits = 3
+	cfg.StateFeatures = []FeatureKind{FeatPCSignature}
 	var buf bytes.Buffer
 	if err := trainAgent(f, cfg, 2000).SaveCheckpoint(&buf); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
+	otherShape := bytes.Clone(valid)
+	otherShape[6] = 2 // the SubTables byte
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
-	f.Add([]byte("CHQT"))
+	f.Add(otherShape)
 	var fresh bytes.Buffer
 	if err := New(cfg, 16, 2).SaveCheckpoint(&fresh); err != nil {
 		f.Fatal(err)
@@ -167,8 +209,13 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		if err := a.SaveCheckpoint(&out); err != nil {
 			t.Fatalf("saving an accepted checkpoint: %v", err)
 		}
-		if !bytes.HasPrefix(data, out.Bytes()) {
-			t.Fatalf("accepted %d input bytes, but the %d saved bytes are not a prefix of them", len(data), out.Len())
+		if out.Len() > len(data) {
+			t.Fatalf("accepted %d input bytes, but saved %d", len(data), out.Len())
+		}
+		want := bytes.Clone(data[:out.Len()])
+		clear(want[8:16]) // the update count
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Fatalf("accepted %d input bytes, but the %d saved bytes are not their prefix (update count aside)", len(data), out.Len())
 		}
 	})
 }

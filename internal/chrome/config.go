@@ -49,10 +49,6 @@ type Config struct {
 	Epsilon float64
 	// Rewards are the reward values (Table II).
 	Rewards Rewards
-	// SubTables is the number of hashed sub-tables per feature (4).
-	SubTables int
-	// SubTableBits is log2 of entries per sub-table (11 → 2048).
-	SubTableBits int
 	// EQDepth is the capacity of each per-sampled-set FIFO (28).
 	EQDepth int
 	// SampledSets is the number of LLC sets observed for training (64).
@@ -68,15 +64,14 @@ type Config struct {
 	Seed uint64
 }
 
-// DefaultConfig returns the paper's tuned configuration (Tables II & III).
+// DefaultConfig returns the paper's tuned configuration (Tables II & III;
+// the Q-table's Table III shape is fixed, see SubTables).
 func DefaultConfig() Config {
 	return Config{
 		Alpha:            0.0498,
 		Gamma:            0.3679,
 		Epsilon:          0.001,
 		Rewards:          DefaultRewards(),
-		SubTables:        4,
-		SubTableBits:     11,
 		EQDepth:          28,
 		SampledSets:      64,
 		StateFeatures:    []FeatureKind{FeatPCSignature, FeatPageNumber},
@@ -103,10 +98,6 @@ func (c Config) validate() {
 		panic("chrome: Gamma must be in [0,1)")
 	case c.Epsilon < 0 || c.Epsilon > 1:
 		panic("chrome: Epsilon must be in [0,1]")
-	case c.SubTables <= 0 || c.SubTables > maxSubTables:
-		panic("chrome: SubTables must be in [1, 16]")
-	case c.SubTableBits <= 0 || c.SubTableBits > 24:
-		panic("chrome: SubTableBits out of range")
 	case c.EQDepth <= 1:
 		panic("chrome: EQDepth must exceed 1")
 	case c.SampledSets <= 0:

@@ -23,11 +23,11 @@ func TestTableIIConstants(t *testing.T) {
 // TestTableIIIStructure locks the hardware-structure dimensions to the
 // paper (Table III: 4 sub-tables, 2048 entries, EQ 64x28).
 func TestTableIIIStructure(t *testing.T) {
-	cfg := DefaultConfig()
-	if cfg.SubTables != 4 || cfg.SubTableBits != 11 {
+	if SubTables != 4 || SubTableBits != 11 {
 		t.Fatalf("Q-table dimensions %d sub-tables x 2^%d do not match Table III",
-			cfg.SubTables, cfg.SubTableBits)
+			SubTables, SubTableBits)
 	}
+	cfg := DefaultConfig()
 	if cfg.EQDepth != 28 || cfg.SampledSets != 64 {
 		t.Fatalf("EQ %dx%d does not match Table III (64x28)", cfg.SampledSets, cfg.EQDepth)
 	}

@@ -24,8 +24,6 @@ type EQEntry struct {
 	HasReward bool
 	// Reward is the assigned reward (valid when HasReward).
 	Reward int8
-	// Prefetch records whether the original request was a prefetch.
-	Prefetch bool
 }
 
 // HashAddr produces the 16-bit block-address hash stored in EQ entries.

@@ -89,7 +89,6 @@ const historyDepth = 4
 type featureContext struct {
 	lastBlock uint64
 	hasLast   bool
-	lastDelta int64
 	pcHist    [historyDepth]mem.PC
 	deltaHist [historyDepth]int64
 }
@@ -106,7 +105,6 @@ func (fc *featureContext) observe(pc mem.PC, addr mem.Addr) int64 {
 	}
 	fc.lastBlock = blk
 	fc.hasLast = true
-	fc.lastDelta = delta
 	copy(fc.pcHist[1:], fc.pcHist[:historyDepth-1])
 	fc.pcHist[0] = pc
 	copy(fc.deltaHist[1:], fc.deltaHist[:historyDepth-1])

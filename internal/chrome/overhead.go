@@ -6,8 +6,8 @@ import "fmt"
 // reproducing Table III of the paper. All quantities are in bits unless
 // the field name says otherwise.
 type Overhead struct {
-	// QTableBits is the Q-table storage: 2 features × SubTables sub-tables
-	// × 2^SubTableBits entries × 16 bits.
+	// QTableBits is the Q-table storage: features × SubTables sub-tables ×
+	// 2^SubTableBits entries × 16 bits.
 	QTableBits uint64
 	// EQBits is the evaluation-queue storage: queues × depth × EQEntryBits.
 	EQBits uint64
@@ -24,7 +24,7 @@ func ComputeOverhead(cfg Config, llcBytes uint64) Overhead {
 	features := len(cfg.StateFeatures)
 	blocks := llcBytes / 64
 	return Overhead{
-		QTableBits:   uint64(features) * uint64(cfg.SubTables) * (1 << cfg.SubTableBits) * 16,
+		QTableBits:   uint64(features) * SubTables * (1 << SubTableBits) * 16,
 		EQBits:       uint64(cfg.SampledSets) * uint64(cfg.EQDepth) * EQEntryBits,
 		MetadataBits: blocks * 2,
 	}

@@ -85,23 +85,29 @@ func (s State) Len() int { return int(s.n) }
 // partials stored in sub-table entries (Q10.5: 5 fractional bits).
 const qScale = 32
 
-// maxSubTables bounds Config.SubTables so that Update can keep one feature's
-// sub-table slot indices in a fixed-size array.
-const maxSubTables = 16
+// The Q-table's fixed shape (paper §V-C, Table III): per state feature,
+// SubTables hashed sub-tables of 2^SubTableBits slots, each slot holding
+// NumActions 16-bit partials.
+const (
+	// SubTables is the number of hashed sub-tables per feature.
+	SubTables = 4
+	// SubTableBits is log2 of the slots per sub-table (2,048).
+	SubTableBits = 11
+	// subTableLen is the number of partials in one sub-table.
+	subTableLen = NumActions << SubTableBits
+)
 
 // QTable stores the Q-values of feature-action pairs in hashed sub-tables
-// (paper §V-C): per feature, SubTables sub-tables of 2^SubTableBits entries
-// × NumActions 16-bit partial values. Q(f,A) is the sum of the partials;
-// Q(S,A) is the max over the features' Q(f,A).
+// (paper §V-C). Q(f,A) is the sum of feature f's SubTables partials for A;
+// Q(S,A) is the max over the state's features of Q(f,A).
 type QTable struct {
 	cfg Config
-	// partials[feature][subTable] is a flat [entries*NumActions]int16.
-	partials  [][][]int16
-	mask      uint64
-	n         int // state dimensionality
-	subTables int
+	// partials is indexed by (feature, sub-table, slot, action), the order
+	// a CHQT checkpoint stores them in.
+	partials []int16
+	n        int // state dimensionality
 
-	// updates counts SARSA applications (for the UPKSA metric).
+	// updates counts this run's SARSA applications (for the UPKSA metric).
 	updates uint64
 }
 
@@ -110,35 +116,49 @@ type QTable struct {
 // (paper §V-B).
 func NewQTable(cfg Config) *QTable {
 	cfg.validate()
-	qt := &QTable{
-		cfg:       cfg,
-		mask:      (1 << cfg.SubTableBits) - 1,
-		n:         len(cfg.StateFeatures),
-		subTables: cfg.SubTables,
-	}
-	entries := (1 << cfg.SubTableBits) * NumActions
+	n := len(cfg.StateFeatures)
 	optimistic := 1.0 / (1.0 - cfg.Gamma)
-	perPartial := int16(math.Round(optimistic * qScale / float64(cfg.SubTables)))
-	qt.partials = make([][][]int16, qt.n)
-	for f := 0; f < qt.n; f++ {
-		qt.partials[f] = make([][]int16, cfg.SubTables)
-		for t := 0; t < cfg.SubTables; t++ {
-			tab := make([]int16, entries)
-			for i := range tab {
-				tab[i] = perPartial
-			}
-			qt.partials[f][t] = tab
-		}
+	perPartial := int16(math.Round(optimistic * qScale / SubTables))
+	partials := make([]int16, n*SubTables*subTableLen)
+	for i := range partials {
+		partials[i] = perPartial
 	}
-	return qt
+	return &QTable{cfg: cfg, partials: partials, n: n}
 }
 
-// index returns the sub-table slot for a feature value. Each sub-table
-// XORs the feature with a distinct constant before hashing (paper §V-C).
+// row returns the offset in partials of the NumActions partials that
+// feature fi's value selects in sub-table t. Each sub-table XORs the
+// feature with a distinct constant before hashing (paper §V-C).
 //
 //chromevet:hot
-func (qt *QTable) index(sub int, feature uint64) uint64 {
-	return mem.Mix64(feature^(0x9E3779B97F4A7C15*uint64(sub+1))) & qt.mask
+func row(fi, t int, feature uint64) int {
+	slot := mem.Mix64(feature^(0x9E3779B97F4A7C15*uint64(t+1))) & (1<<SubTableBits - 1)
+	return (fi*SubTables+t)*subTableLen + int(slot)*NumActions
+}
+
+// actionQ returns Q(S, A) for every action in fixed point: per action, the
+// max over the state's features of the feature's summed partials. Each
+// slot is hashed once and its four adjacent action partials are read
+// together. The sums are scalars, not an array, so that they stay in
+// registers.
+//
+//chromevet:hot
+func (qt *QTable) actionQ(s State) [NumActions]int32 {
+	q := [NumActions]int32{math.MinInt32, math.MinInt32, math.MinInt32, math.MinInt32}
+	p := qt.partials
+	for fi, f := range s.f[:qt.n] {
+		var s0, s1, s2, s3 int32
+		for t := 0; t < SubTables; t++ {
+			i := row(fi, t, f)
+			r := p[i : i+NumActions : i+NumActions]
+			s0 += int32(r[0])
+			s1 += int32(r[1])
+			s2 += int32(r[2])
+			s3 += int32(r[3])
+		}
+		q = [NumActions]int32{max(q[0], s0), max(q[1], s1), max(q[2], s2), max(q[3], s3)}
+	}
+	return q
 }
 
 // Q returns the state-action value Q(S, A) (paper §V-C: the max across
@@ -146,74 +166,32 @@ func (qt *QTable) index(sub int, feature uint64) uint64 {
 //
 //chromevet:hot
 func (qt *QTable) Q(s State, a Action) float64 {
-	var sums [MaxStateFeatures][NumActions]int32
-	qt.gatherRows(s, &sums)
-	return qt.composeQ(&sums, a)
-}
-
-// missActionOrder scans insertion actions before bypass so that exact ties
-// (untrained, optimistically initialized states) default to the LRU-like
-// EPV0 insertion rather than to bypassing.
-var missActionOrder = [NumActions]Action{ActionEPV0, ActionEPV1, ActionEPV2, ActionBypass}
-
-// gatherRows sums, per (feature, action), the partials of every sub-table.
-// Each slot is hashed once and its four adjacent action partials are read
-// together; int32 addition is exact, so the sums, and the Q-values derived
-// from them, do not depend on the order the partials are read in.
-//
-//chromevet:hot
-func (qt *QTable) gatherRows(s State, sums *[MaxStateFeatures][NumActions]int32) {
-	for fi := 0; fi < qt.n; fi++ {
-		f := s.f[fi]
-		tabs := qt.partials[fi]
-		for t := 0; t < qt.subTables; t++ {
-			base := qt.index(t, f) * NumActions
-			row := tabs[t][base : base+NumActions : base+NumActions]
-			sums[fi][0] += int32(row[0])
-			sums[fi][1] += int32(row[1])
-			sums[fi][2] += int32(row[2])
-			sums[fi][3] += int32(row[3])
-		}
-	}
-}
-
-// composeQ combines one action's per-feature sums into Q(S, A): the max
-// over the features.
-//
-//chromevet:hot
-func (qt *QTable) composeQ(sums *[MaxStateFeatures][NumActions]int32, a Action) float64 {
-	best := math.Inf(-1)
-	for fi := 0; fi < qt.n; fi++ {
-		if q := float64(sums[fi][a]) / qScale; q > best {
-			best = q
-		}
-	}
-	return best
+	return float64(qt.actionQ(s)[a]) / qScale
 }
 
 // BestAction returns the argmax action for the state over the legal action
-// set (miss: all four; hit: the three EPV actions) and its Q-value.
+// set (miss: all four; hit: the three EPV actions) and its Q-value. The
+// scan starts at EPV0 and moves only on a strictly greater Q, with bypass
+// last, so exact ties (untrained, optimistically initialized states)
+// default to the LRU-like EPV0 insertion rather than to bypassing. It
+// compares the fixed-point sums: x/qScale is exact and increasing for
+// every int32 x, so the argmax and its value are those of the float
+// Q-values.
 //
 //chromevet:hot
 func (qt *QTable) BestAction(s State, hit bool) (Action, float64) {
-	var sums [MaxStateFeatures][NumActions]int32
-	qt.gatherRows(s, &sums)
-	if hit {
-		best, bestQ := ActionEPV0, qt.composeQ(&sums, ActionEPV0)
-		for a := ActionEPV1; a < NumActions; a++ {
-			if q := qt.composeQ(&sums, a); q > bestQ {
-				best, bestQ = a, q
-			}
-		}
-		return best, bestQ
+	q := qt.actionQ(s)
+	best := ActionEPV0
+	if q[ActionEPV1] > q[best] {
+		best = ActionEPV1
 	}
-	best, bestQ := missActionOrder[0], qt.composeQ(&sums, missActionOrder[0])
-	for _, a := range missActionOrder[1:] {
-		if q := qt.composeQ(&sums, a); q > bestQ {
-			best, bestQ = a, q
-		}
+	if q[ActionEPV2] > q[best] {
+		best = ActionEPV2
 	}
-	return best, bestQ
+	if !hit && q[ActionBypass] > q[best] {
+		best = ActionBypass
+	}
+	return best, float64(q[best]) / qScale
 }
 
 // Update applies a SARSA step toward target = R + γ·Q(S', A'). Each
@@ -230,29 +208,28 @@ func (qt *QTable) Update(s State, a Action, target, rnd float64) {
 	qt.updates++
 	// The read pass and the write pass hit the same sub-table slots; hashing
 	// each slot once and remembering the index halves the Mix64 work.
-	nt := qt.subTables
-	var idxBuf [maxSubTables]uint64
+	var idxBuf [SubTables]int
 	for fi := 0; fi < qt.n; fi++ {
 		var sum int32
-		for t := 0; t < nt; t++ {
-			idx := qt.index(t, s.f[fi])*NumActions + uint64(a)
+		for t := range idxBuf {
+			idx := row(fi, t, s.f[fi]) + int(a)
 			idxBuf[t] = idx
-			sum += int32(qt.partials[fi][t][idx])
+			sum += int32(qt.partials[idx])
 		}
 		delta := target - float64(sum)/qScale
-		step := qt.cfg.Alpha * delta * qScale / float64(nt)
+		step := qt.cfg.Alpha * delta * qScale / SubTables
 		inc := int16(quantize(step, rnd))
 		if inc == 0 {
 			continue
 		}
-		for t := 0; t < nt; t++ {
-			idx := idxBuf[t]
-			qt.partials[fi][t][idx] = satAdd16(qt.partials[fi][t][idx], inc)
+		for _, idx := range idxBuf {
+			qt.partials[idx] = satAdd16(qt.partials[idx], inc)
 		}
 	}
 }
 
-// Updates returns the number of SARSA updates applied so far.
+// Updates returns the number of SARSA updates this table has applied; a
+// loaded checkpoint does not add the saving run's.
 func (qt *QTable) Updates() uint64 { return qt.updates }
 
 // quantize rounds x stochastically using rnd ∈ [0,1): the result is

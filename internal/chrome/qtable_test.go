@@ -1,9 +1,15 @@
 package chrome
 
 import (
+	"bytes"
+	"encoding/binary"
+	"io"
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
+
+	"chrome/internal/mem"
 )
 
 func TestOptimisticInitialization(t *testing.T) {
@@ -82,10 +88,14 @@ func TestComposeMax(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		qt.Update(NewState(3, 2), ActionBypass, 10, 0.5)
 	}
-	var sums [MaxStateFeatures][NumActions]int32
-	qt.gatherRows(st, &sums)
-	qPC := float64(sums[0][ActionBypass]) / qScale
-	qPN := float64(sums[1][ActionBypass]) / qScale
+	featureQ := func(fi int) float64 {
+		var sum int32
+		for t := 0; t < SubTables; t++ {
+			sum += int32(qt.partials[row(fi, t, st.Feature(fi))+int(ActionBypass)])
+		}
+		return float64(sum) / qScale
+	}
+	qPC, qPN := featureQ(0), featureQ(1)
 	if qPC == qPN {
 		t.Fatalf("features did not diverge: both %v", qPC)
 	}
@@ -171,7 +181,7 @@ func TestSaturation(t *testing.T) {
 		qt.Update(st, ActionEPV2, 1000, 0.5)
 	}
 	got := qt.Q(st, ActionEPV2)
-	limit := float64(cfg.SubTables) * math.MaxInt16 / qScale
+	limit := float64(SubTables) * math.MaxInt16 / qScale
 	if got > limit {
 		t.Fatalf("Q = %v beyond saturation limit %v", got, limit)
 	}
@@ -227,9 +237,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Alpha = -1 },
 		func(c *Config) { c.Gamma = 1.0 },
 		func(c *Config) { c.Epsilon = 2 },
-		func(c *Config) { c.SubTables = 0 },
-		func(c *Config) { c.SubTables = 17 },
-		func(c *Config) { c.SubTableBits = 30 },
 		func(c *Config) { c.EQDepth = 1 },
 		func(c *Config) { c.SampledSets = 0 },
 	}
@@ -255,6 +262,217 @@ func TestActionHelpers(t *testing.T) {
 	for a, want := range names {
 		if a.String() != want {
 			t.Errorf("%d.String() = %q", a, a.String())
+		}
+	}
+}
+
+// nestedTable is a reference Q-table in the nested layout, one slice per
+// (feature, sub-table), read through per-feature float Q-values and an
+// argmax over them in float. The tests below hold QTable to it.
+type nestedTable struct {
+	alpha    float64
+	partials [][][]int16 // [feature][sub-table][slot*NumActions+action]
+	updates  uint64
+}
+
+func newNestedTable(cfg Config) *nestedTable {
+	optimistic := 1.0 / (1.0 - cfg.Gamma)
+	perPartial := int16(math.Round(optimistic * qScale / float64(4)))
+	nt := &nestedTable{alpha: cfg.Alpha, partials: make([][][]int16, len(cfg.StateFeatures))}
+	for f := range nt.partials {
+		nt.partials[f] = make([][]int16, 4)
+		for t := range nt.partials[f] {
+			tab := make([]int16, (1<<11)*NumActions)
+			for i := range tab {
+				tab[i] = perPartial
+			}
+			nt.partials[f][t] = tab
+		}
+	}
+	return nt
+}
+
+func (nt *nestedTable) index(sub int, feature uint64) uint64 {
+	return mem.Mix64(feature^(0x9E3779B97F4A7C15*uint64(sub+1))) & (1<<11 - 1)
+}
+
+func (nt *nestedTable) sums(s State) (sums [MaxStateFeatures][NumActions]int32) {
+	for fi := range nt.partials {
+		for t, tab := range nt.partials[fi] {
+			base := nt.index(t, s.Feature(fi)) * NumActions
+			for a := range sums[fi] {
+				sums[fi][a] += int32(tab[base+uint64(a)])
+			}
+		}
+	}
+	return sums
+}
+
+func (nt *nestedTable) compose(sums *[MaxStateFeatures][NumActions]int32, a Action) float64 {
+	best := math.Inf(-1)
+	for fi := range nt.partials {
+		if q := float64(sums[fi][a]) / qScale; q > best {
+			best = q
+		}
+	}
+	return best
+}
+
+func (nt *nestedTable) q(s State, a Action) float64 {
+	sums := nt.sums(s)
+	return nt.compose(&sums, a)
+}
+
+func (nt *nestedTable) bestAction(s State, hit bool) (Action, float64) {
+	sums := nt.sums(s)
+	order := []Action{ActionEPV0, ActionEPV1, ActionEPV2, ActionBypass}
+	if hit {
+		order = order[:3]
+	}
+	best, bestQ := order[0], nt.compose(&sums, order[0])
+	for _, a := range order[1:] {
+		if q := nt.compose(&sums, a); q > bestQ {
+			best, bestQ = a, q
+		}
+	}
+	return best, bestQ
+}
+
+func (nt *nestedTable) update(s State, a Action, target, rnd float64) {
+	nt.updates++
+	for fi := range nt.partials {
+		var sum int32
+		for t, tab := range nt.partials[fi] {
+			sum += int32(tab[nt.index(t, s.Feature(fi))*NumActions+uint64(a)])
+		}
+		delta := target - float64(sum)/qScale
+		step := nt.alpha * delta * qScale / float64(4)
+		inc := int16(quantize(step, rnd))
+		if inc == 0 {
+			continue
+		}
+		for t, tab := range nt.partials[fi] {
+			idx := nt.index(t, s.Feature(fi))*NumActions + uint64(a)
+			tab[idx] = satAdd16(tab[idx], inc)
+		}
+	}
+}
+
+// writeTo writes a CHQT checkpoint in the nested order: each feature's
+// sub-tables in turn.
+func (nt *nestedTable) writeTo(w io.Writer) {
+	header := struct {
+		Magic     [4]byte
+		Version   uint8
+		Features  uint8
+		SubTables uint8
+		Bits      uint8
+	}{checkpointMagic, checkpointVersion, uint8(len(nt.partials)), 4, 11}
+	binary.Write(w, binary.LittleEndian, header)
+	binary.Write(w, binary.LittleEndian, nt.updates)
+	for f := range nt.partials {
+		for t := range nt.partials[f] {
+			binary.Write(w, binary.LittleEndian, nt.partials[f][t])
+		}
+	}
+}
+
+// TestBestActionMatchesFloatPath holds BestAction and Q to the float path
+// they replaced, over random tables of 1-4 features loaded from the nested
+// writer's bytes. Each table draws its partials from a small pool, so
+// exact ties across actions and across features are common; the pools
+// include negative and saturated (±32,767, -32,768) partials, and one pool
+// fills the whole table with one value, the untrained case.
+func TestBestActionMatchesFloatPath(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	pools := [][]int16{
+		{51},
+		{0, 1},
+		{math.MaxInt16, math.MinInt16},
+		{-math.MaxInt16, math.MaxInt16, 0},
+		{-3, -2, -1, 0, 1, 2, 3},
+		{math.MinInt16, -math.MaxInt16, -1, 0, 1, 51, math.MaxInt16 - 1, math.MaxInt16},
+		nil, // uniform over int16
+	}
+	for nf := 1; nf <= MaxStateFeatures; nf++ {
+		cfg := DefaultConfig()
+		cfg.StateFeatures = AllFeatureKinds()[:nf]
+		for pi, pool := range pools {
+			ref := newNestedTable(cfg)
+			for _, tabs := range ref.partials {
+				for _, tab := range tabs {
+					for i := range tab {
+						if pool == nil {
+							tab[i] = int16(rng.Uint32())
+						} else {
+							tab[i] = pool[rng.IntN(len(pool))]
+						}
+					}
+				}
+			}
+			var buf bytes.Buffer
+			ref.writeTo(&buf)
+			qt := NewQTable(cfg)
+			if _, err := qt.ReadFrom(&buf); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 500; i++ {
+				var f [MaxStateFeatures]uint64
+				for j := range f {
+					f[j] = rng.Uint64()
+				}
+				st := NewState(f[:nf]...)
+				for _, hit := range []bool{false, true} {
+					gotA, gotQ := qt.BestAction(st, hit)
+					wantA, wantQ := ref.bestAction(st, hit)
+					if gotA != wantA || math.Float64bits(gotQ) != math.Float64bits(wantQ) {
+						t.Fatalf("%d features, pool %d, state %d, hit %v: BestAction = %v %v, float path %v %v",
+							nf, pi, i, hit, gotA, gotQ, wantA, wantQ)
+					}
+				}
+				for a := Action(0); a < NumActions; a++ {
+					if got, want := qt.Q(st, a), ref.q(st, a); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%d features, pool %d, state %d: Q(%v) = %v, float path %v", nf, pi, i, a, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWriteToMatchesNestedWriter applies one sequence of SARSA updates to a
+// QTable and to the nested table, some saturating, and requires WriteTo's
+// bytes to be the nested writer's, byte for byte.
+func TestWriteToMatchesNestedWriter(t *testing.T) {
+	for nf := 1; nf <= MaxStateFeatures; nf++ {
+		cfg := DefaultConfig()
+		cfg.Alpha = 0.5
+		cfg.StateFeatures = AllFeatureKinds()[:nf]
+		qt, ref := NewQTable(cfg), newNestedTable(cfg)
+		rng := rand.New(rand.NewPCG(3, uint64(nf)))
+		var f [MaxStateFeatures]uint64
+		for i := 0; i < 20000; i++ {
+			for j := range f {
+				f[j] = rng.Uint64N(64)
+			}
+			st := NewState(f[:nf]...)
+			a := Action(rng.IntN(NumActions))
+			target := rng.Float64()*4000 - 2000
+			rnd := rng.Float64()
+			qt.Update(st, a, target, rnd)
+			ref.update(st, a, target, rnd)
+		}
+		var got, want bytes.Buffer
+		n, err := qt.WriteTo(&got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.writeTo(&want)
+		if n != int64(got.Len()) {
+			t.Fatalf("%d features: WriteTo reported %d bytes, wrote %d", nf, n, got.Len())
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%d features: WriteTo's %d bytes differ from the nested writer's %d", nf, got.Len(), want.Len())
 		}
 	}
 }
