@@ -114,7 +114,7 @@ func TestAllocBudget(t *testing.T) {
 	})
 
 	t.Run("DRAMAccess", func(t *testing.T) {
-		d := sim.NewDRAM(sim.DefaultDRAMConfig())
+		d := sim.NewDRAM()
 		check(t, "DRAM access", func(i int) {
 			d.Access(mem.Addr(i*64), mem.CycleOf(uint64(i*3)), i&7 == 0)
 		})

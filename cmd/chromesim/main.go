@@ -35,7 +35,7 @@ func main() {
 		cores    = flag.Int("cores", 4, "number of cores, a power of two")
 		pfName   = flag.String("prefetch", "default", "prefetchers: default | stride-streamer | ipcp | none")
 		warmup   = flag.Uint64("warmup", 100_000, "warmup instructions per core")
-		measure  = flag.Uint64("measure", 500_000, "measured instructions per core")
+		measure  = flag.Uint64("measure", 500_000, "measured instructions per core, at least 1")
 		baseline = flag.Bool("baseline", true, "also run LRU and report weighted speedup")
 		listWl   = flag.Bool("list-workloads", false, "list available workloads")
 		jsonOut  = flag.Bool("json", false, "emit machine-readable JSON instead of text")
@@ -53,6 +53,10 @@ func main() {
 
 	if *cores <= 0 || *cores&(*cores-1) != 0 {
 		fmt.Fprintf(os.Stderr, "-cores must be a positive power of two, got %d\n", *cores)
+		os.Exit(2)
+	}
+	if *measure == 0 {
+		fmt.Fprintln(os.Stderr, "-measure must be positive, got 0")
 		os.Exit(2)
 	}
 	scheme, err := schemeByName(*policy)

@@ -137,20 +137,19 @@ func (a *Agent) assignAccuracyReward(q int, acc mem.Access, hit bool) {
 	if e == nil {
 		return
 	}
-	r := &a.cfg.Rewards
 	var reward int8
 	if hit {
 		if acc.IsPrefetch() {
-			reward = r.ACPrefetch
+			reward = rewardACPrefetch
 		} else {
-			reward = r.ACDemand
+			reward = rewardACDemand
 		}
 		a.stats.RewardsAC++
 	} else {
 		if acc.IsPrefetch() {
-			reward = r.INPrefetch
+			reward = rewardINPrefetch
 		} else {
-			reward = r.INDemand
+			reward = rewardINDemand
 		}
 		a.stats.RewardsIN++
 	}
@@ -166,7 +165,6 @@ func (a *Agent) assignAccuracyReward(q int, acc mem.Access, hit bool) {
 //
 //chromevet:hot
 func (a *Agent) nrReward(e EQEntry) int8 {
-	r := &a.cfg.Rewards
 	ob := a.obstructed(mem.CoreIDOf(int(e.Core)))
 	accurate := false
 	if e.TriggerHit {
@@ -176,13 +174,13 @@ func (a *Agent) nrReward(e EQEntry) int8 {
 	}
 	switch {
 	case accurate && ob:
-		return r.ACNROb
+		return rewardACNROb
 	case accurate:
-		return r.ACNRNob
+		return rewardACNRNob
 	case ob:
-		return r.INNROb
+		return rewardINNROb
 	default:
-		return r.INNRNob
+		return rewardINNRNob
 	}
 }
 

@@ -82,7 +82,7 @@ func TestAgentLearnsToCacheHotSet(t *testing.T) {
 func TestAgentActionsAreLegal(t *testing.T) {
 	cfg := testConfig()
 	cfg.Epsilon = 0.5 // heavy exploration
-	_, c := newTestAgent(t, cfg, 8, 2)
+	ag, c := newTestAgent(t, cfg, 8, 2)
 	for i := 0; i < 20000; i++ {
 		addr := mem.Addr(mem.Mix64(uint64(i)) % (1 << 20) &^ 63)
 		typ := mem.Load
@@ -90,11 +90,13 @@ func TestAgentActionsAreLegal(t *testing.T) {
 			typ = mem.Prefetch
 		}
 		c.Access(mem.Access{PC: mem.PCOf(uint64(i % 5)), Addr: addr, Type: typ, Core: mem.CoreIDOf(i % 2), Cycle: mem.CycleOf(uint64(i))})
-	}
-	// Reaching here without the cache panicking on an invalid victim way is
-	// the assertion; also check EPVs are in range.
-	for _, set := range [][]uint8{} {
-		_ = set
+		// The cache panics on an invalid victim way; every EPV in the
+		// accessed set must also stay within [0, EPV_H]. A line with a
+		// larger EPV is the set's next victim, so a check of every set
+		// after the run alone would rarely see one.
+		if err := ag.CheckSetInvariants(c.SetIndex(addr)); err != nil {
+			t.Fatalf("access %d: %v", i, err)
+		}
 	}
 }
 
@@ -104,18 +106,17 @@ func TestNRRewardDirections(t *testing.T) {
 	entry := func(act Action, hit bool) EQEntry {
 		return EQEntry{Action: act, TriggerHit: hit}
 	}
-	r := cfg.Rewards
-	if got := a.nrReward(entry(ActionBypass, false)); got != r.ACNRNob {
-		t.Fatalf("bypass-no-reuse reward = %d, want %d", got, r.ACNRNob)
+	if got := a.nrReward(entry(ActionBypass, false)); got != rewardACNRNob {
+		t.Fatalf("bypass-no-reuse reward = %d, want %d", got, rewardACNRNob)
 	}
-	if got := a.nrReward(entry(ActionEPV0, false)); got != r.INNRNob {
-		t.Fatalf("insert-no-reuse reward = %d, want %d", got, r.INNRNob)
+	if got := a.nrReward(entry(ActionEPV0, false)); got != rewardINNRNob {
+		t.Fatalf("insert-no-reuse reward = %d, want %d", got, rewardINNRNob)
 	}
-	if got := a.nrReward(entry(ActionEPV2, true)); got != r.ACNRNob {
-		t.Fatalf("hit-EPVH-no-reuse reward = %d, want %d", got, r.ACNRNob)
+	if got := a.nrReward(entry(ActionEPV2, true)); got != rewardACNRNob {
+		t.Fatalf("hit-EPVH-no-reuse reward = %d, want %d", got, rewardACNRNob)
 	}
-	if got := a.nrReward(entry(ActionEPV0, true)); got != r.INNRNob {
-		t.Fatalf("hit-EPV0-no-reuse reward = %d, want %d", got, r.INNRNob)
+	if got := a.nrReward(entry(ActionEPV0, true)); got != rewardINNRNob {
+		t.Fatalf("hit-EPV0-no-reuse reward = %d, want %d", got, rewardINNRNob)
 	}
 }
 
@@ -123,17 +124,16 @@ func TestNRRewardObstruction(t *testing.T) {
 	cfg := testConfig()
 	a := New(cfg, 16, 2)
 	a.Obstructed = func(mem.CoreID) bool { return true }
-	r := cfg.Rewards
-	if got := a.nrReward(EQEntry{Action: ActionBypass}); got != r.ACNROb {
-		t.Fatalf("obstructed accurate NR reward = %d, want %d", got, r.ACNROb)
+	if got := a.nrReward(EQEntry{Action: ActionBypass}); got != rewardACNROb {
+		t.Fatalf("obstructed accurate NR reward = %d, want %d", got, rewardACNROb)
 	}
-	if got := a.nrReward(EQEntry{Action: ActionEPV1}); got != r.INNROb {
-		t.Fatalf("obstructed inaccurate NR reward = %d, want %d", got, r.INNROb)
+	if got := a.nrReward(EQEntry{Action: ActionEPV1}); got != rewardINNROb {
+		t.Fatalf("obstructed inaccurate NR reward = %d, want %d", got, rewardINNROb)
 	}
 	// N-CHROME ignores obstruction entirely.
 	n := New(NCHROMEConfig(), 16, 2)
 	n.Obstructed = func(mem.CoreID) bool { return true }
-	if got := n.nrReward(EQEntry{Action: ActionBypass}); got != r.ACNRNob {
+	if got := n.nrReward(EQEntry{Action: ActionBypass}); got != rewardACNRNob {
 		t.Fatalf("N-CHROME must use the non-obstructed reward, got %d", got)
 	}
 }

@@ -8,35 +8,21 @@
 // (C-AMAT LLC-obstruction status).
 package chrome
 
-// Rewards holds the reward values of Table II. AC rewards apply when the
-// action's block was re-requested and present (accurate caching); IN when
-// re-requested but absent (inaccurate); the NR variants apply when the
-// address was never re-requested within the EQ's temporal window, split by
-// whether the issuing core was LLC-obstructed (OB) or not (NOB).
-type Rewards struct {
-	ACDemand   int8 // R_AC^D
-	ACPrefetch int8 // R_AC^P
-	INDemand   int8 // R_IN^D
-	INPrefetch int8 // R_IN^P
-	ACNROb     int8 // R_AC-NR^OB
-	ACNRNob    int8 // R_AC-NR^NOB
-	INNROb     int8 // R_IN-NR^OB
-	INNRNob    int8 // R_IN-NR^NOB
-}
-
-// DefaultRewards returns Table II's reward values.
-func DefaultRewards() Rewards {
-	return Rewards{
-		ACDemand:   20,
-		ACPrefetch: 5,
-		INDemand:   -20,
-		INPrefetch: -5,
-		ACNROb:     28,
-		ACNRNob:    10,
-		INNROb:     -22,
-		INNRNob:    -10,
-	}
-}
+// Table II's rewards. AC rewards apply when the action's block was
+// re-requested and present (accurate caching); IN when re-requested but
+// absent (inaccurate); the NR variants apply when the address was never
+// re-requested within the EQ's temporal window, split by whether the
+// issuing core was LLC-obstructed (OB) or not (NOB).
+const (
+	rewardACDemand   int8 = 20  // R_AC^D
+	rewardACPrefetch int8 = 5   // R_AC^P
+	rewardINDemand   int8 = -20 // R_IN^D
+	rewardINPrefetch int8 = -5  // R_IN^P
+	rewardACNROb     int8 = 28  // R_AC-NR^OB
+	rewardACNRNob    int8 = 10  // R_AC-NR^NOB
+	rewardINNROb     int8 = -22 // R_IN-NR^OB
+	rewardINNRNob    int8 = -10 // R_IN-NR^NOB
+)
 
 // Config parameterizes a CHROME agent. The zero value is not usable; start
 // from DefaultConfig.
@@ -47,8 +33,6 @@ type Config struct {
 	Gamma float64
 	// Epsilon is the ε-greedy exploration rate (Table II: 0.001).
 	Epsilon float64
-	// Rewards are the reward values (Table II).
-	Rewards Rewards
 	// EQDepth is the capacity of each per-sampled-set FIFO (28).
 	EQDepth int
 	// SampledSets is the number of LLC sets observed for training (64).
@@ -65,13 +49,13 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's tuned configuration (Tables II & III;
-// the Q-table's Table III shape is fixed, see SubTables).
+// the rewards and the Q-table's Table III shape are fixed, see
+// rewardACDemand and SubTables).
 func DefaultConfig() Config {
 	return Config{
 		Alpha:            0.0498,
 		Gamma:            0.3679,
 		Epsilon:          0.001,
-		Rewards:          DefaultRewards(),
 		EQDepth:          28,
 		SampledSets:      64,
 		StateFeatures:    []FeatureKind{FeatPCSignature, FeatPageNumber},

@@ -2,21 +2,21 @@ package chrome
 
 import "testing"
 
-// TestTableIIConstants locks the default configuration to the paper's
-// Table II values exactly.
+// TestTableIIConstants locks the default configuration and the reward
+// constants to the paper's Table II values exactly.
 func TestTableIIConstants(t *testing.T) {
 	cfg := DefaultConfig()
 	if cfg.Alpha != 0.0498 || cfg.Gamma != 0.3679 || cfg.Epsilon != 0.001 {
 		t.Fatalf("hyper-parameters %v/%v/%v do not match Table II (0.0498/0.3679/0.001)",
 			cfg.Alpha, cfg.Gamma, cfg.Epsilon)
 	}
-	r := cfg.Rewards
-	want := Rewards{
-		ACDemand: 20, ACPrefetch: 5, INDemand: -20, INPrefetch: -5,
-		ACNROb: 28, ACNRNob: 10, INNROb: -22, INNRNob: -10,
+	got := [...]int8{
+		rewardACDemand, rewardACPrefetch, rewardINDemand, rewardINPrefetch,
+		rewardACNROb, rewardACNRNob, rewardINNROb, rewardINNRNob,
 	}
-	if r != want {
-		t.Fatalf("rewards %+v do not match Table II %+v", r, want)
+	want := [...]int8{20, 5, -20, -5, 28, 10, -22, -10}
+	if got != want {
+		t.Fatalf("rewards AC^D, AC^P, IN^D, IN^P, AC-NR^OB, AC-NR^NOB, IN-NR^OB, IN-NR^NOB = %v, Table II has %v", got, want)
 	}
 }
 

@@ -55,17 +55,25 @@ func TestIndependentLoadsOverlap(t *testing.T) {
 	}
 }
 
+// TestDependentLoadsSerialize runs a chain of dependent loads at two
+// memory latencies: each load waits for the previous one, so IPC is about
+// 1/latency, and the slower memory gives the lower IPC.
 func TestDependentLoadsSerialize(t *testing.T) {
-	gen := &scripted{recs: []trace.Record{{PC: 1, Addr: 0, Dependent: true}}}
-	const lat = 100
-	c := New(0, Config{Width: 6, ROB: 512}, gen, fixedMem(lat))
-	c.BeginWindow()
-	for c.Instructions() < 2000 {
-		c.Step()
+	ipc := func(lat mem.Cycle) float64 {
+		gen := &scripted{recs: []trace.Record{{PC: 1, Addr: 0, Dependent: true}}}
+		c := New(0, Config{Width: 6, ROB: 512}, gen, fixedMem(lat))
+		c.BeginWindow()
+		for c.Instructions() < 2000 {
+			c.Step()
+		}
+		got := c.IPC()
+		if got > 1.5/float64(lat) {
+			t.Fatalf("latency %d: IPC = %v, want about %v (serialized chain)", lat, got, 1/float64(lat))
+		}
+		return got
 	}
-	// Each dependent load waits for the previous one: ~1/lat IPC.
-	if ipc := c.IPC(); ipc > 1.5/lat {
-		t.Fatalf("IPC = %v, want about %v (serialized chain)", ipc, 1.0/lat)
+	if fast, slow := ipc(100), ipc(400); slow >= fast {
+		t.Fatalf("IPC at latency 400 (%v) should be below latency 100 (%v)", slow, fast)
 	}
 }
 

@@ -1,41 +1,19 @@
 package sim
 
-import (
-	"fmt"
-	"math/bits"
+import "chrome/internal/mem"
 
-	"chrome/internal/mem"
+// The main-memory model of Table V: DDR4-3200, 2 channels, 2 ranks per
+// channel and 8 banks per rank; tRP = tRCD = tCAS = 12.5 ns, i.e. 50 core
+// cycles at 4 GHz. The counts are powers of two: Access masks and shifts
+// the block number by them.
+const (
+	dramChannels           = 2   // independent channels
+	dramBanks              = 16  // ranks × banks, per channel
+	dramRowShift           = 7   // 128 blocks (8KB) a row: a block's row is blk >> dramRowShift
+	dramRowHit   mem.Cycle = 50  // tCAS, the row is open
+	dramRowMiss  mem.Cycle = 150 // tRP + tRCD + tCAS, precharge and activate
+	dramBurst    mem.Cycle = 10  // channel occupancy of a 64B transfer over 64 bits at 4 GHz
 )
-
-// DRAMConfig describes the main-memory model (Table V: DDR4-3200, 2
-// channels, 2 ranks/channel, 8 banks/rank; tRP = tRCD = tCAS = 12.5 ns,
-// i.e. 50 core cycles at 4 GHz).
-type DRAMConfig struct {
-	// Channels is the number of independent channels (power of two).
-	Channels int
-	// BanksPerChannel is ranks × banks (power of two).
-	BanksPerChannel int
-	// RowHit is the access latency in core cycles when the row is open.
-	RowHit mem.Cycle
-	// RowMiss is the access latency when a precharge+activate is needed.
-	RowMiss mem.Cycle
-	// Burst is the channel occupancy per 64-byte transfer in core cycles.
-	Burst mem.Cycle
-	// RowBlocks is the number of cache blocks per DRAM row (power of two).
-	RowBlocks uint64
-}
-
-// DefaultDRAMConfig returns the Table V-derived DRAM model.
-func DefaultDRAMConfig() DRAMConfig {
-	return DRAMConfig{
-		Channels:        2,
-		BanksPerChannel: 16,
-		RowHit:          50,  // tCAS
-		RowMiss:         150, // tRP + tRCD + tCAS
-		Burst:           10,  // 64B over a 64-bit DDR4-3200 channel at 4GHz
-		RowBlocks:       128, // 8KB rows
-	}
-}
 
 // dramEpochLen is the window of the fluid bandwidth model in cycles.
 const dramEpochLen = 256
@@ -53,12 +31,10 @@ const dramEpochLen = 256
 // window's excess work — an order-independent approximation of a
 // work-conserving channel queue.
 type DRAM struct {
-	cfg      DRAMConfig
-	rowShift uint // log2(RowBlocks): a block's row is blk >> rowShift
-	chans    []dramChannel
-	openRow  []uint64 // per (channel, bank); rowID+1, 0 = closed
-	reads    uint64
-	writes   uint64
+	chans   [dramChannels]dramChannel
+	openRow [dramChannels * dramBanks]uint64 // per (channel, bank); rowID+1, 0 = closed
+	reads   uint64
+	writes  uint64
 }
 
 type dramChannel struct {
@@ -66,22 +42,9 @@ type dramChannel struct {
 	work  uint64 // cycles of transfer work booked in the window (w/ carry)
 }
 
-// NewDRAM builds the DRAM model. Channels, BanksPerChannel and RowBlocks
-// must be powers of two: Access masks and shifts the block number by them.
-func NewDRAM(cfg DRAMConfig) *DRAM {
-	pow2 := func(n uint64) bool { return n > 0 && n&(n-1) == 0 }
-	if cfg.Channels <= 0 || cfg.BanksPerChannel <= 0 ||
-		!pow2(uint64(cfg.Channels)) || !pow2(uint64(cfg.BanksPerChannel)) || !pow2(cfg.RowBlocks) {
-		panic(fmt.Sprintf("sim: DRAM channels (%d), banks per channel (%d) and row blocks (%d) must be positive powers of two",
-			cfg.Channels, cfg.BanksPerChannel, cfg.RowBlocks))
-	}
-	return &DRAM{
-		cfg:      cfg,
-		rowShift: uint(bits.TrailingZeros64(cfg.RowBlocks)),
-		chans:    make([]dramChannel, cfg.Channels),
-		openRow:  make([]uint64, cfg.Channels*cfg.BanksPerChannel),
-	}
-}
+// NewDRAM builds the DRAM model with every channel idle and every row
+// closed.
+func NewDRAM() *DRAM { return &DRAM{} }
 
 // Access performs one 64-byte transfer starting no earlier than cycle and
 // returns its total latency (queueing + row access + burst).
@@ -89,9 +52,9 @@ func NewDRAM(cfg DRAMConfig) *DRAM {
 //chromevet:hot
 func (d *DRAM) Access(addr mem.Addr, cycle mem.Cycle, write bool) mem.Cycle {
 	blk := addr.Block().Uint64()
-	ch := int(blk & uint64(d.cfg.Channels-1))
-	bank := int((blk >> 1) & uint64(d.cfg.BanksPerChannel-1))
-	row := blk >> d.rowShift
+	ch := int(blk & (dramChannels - 1))
+	bank := int((blk >> 1) & (dramBanks - 1))
+	row := blk >> dramRowShift
 
 	c := &d.chans[ch]
 	epoch := cycle.Div(dramEpochLen)
@@ -110,14 +73,14 @@ func (d *DRAM) Access(addr mem.Addr, cycle mem.Cycle, write bool) mem.Cycle {
 		// arrivals) are booked into the current window.
 	}
 	wait := mem.CycleOf(max(c.work, dramEpochLen) - dramEpochLen)
-	c.work += d.cfg.Burst.Uint64()
+	c.work += dramBurst.Uint64()
 
-	bi := ch*d.cfg.BanksPerChannel + bank
+	bi := ch*dramBanks + bank
 	var lat mem.Cycle
 	if d.openRow[bi] == row+1 {
-		lat = d.cfg.RowHit
+		lat = dramRowHit
 	} else {
-		lat = d.cfg.RowMiss
+		lat = dramRowMiss
 		d.openRow[bi] = row + 1
 	}
 	if write {
@@ -125,7 +88,7 @@ func (d *DRAM) Access(addr mem.Addr, cycle mem.Cycle, write bool) mem.Cycle {
 	} else {
 		d.reads++
 	}
-	return wait + lat + d.cfg.Burst
+	return wait + lat + dramBurst
 }
 
 // Reads returns the number of read transfers served.
@@ -134,8 +97,9 @@ func (d *DRAM) Reads() uint64 { return d.reads }
 // Writes returns the number of write transfers served.
 func (d *DRAM) Writes() uint64 { return d.writes }
 
-// AvgLatency returns a configuration-level estimate of the unloaded main
-// memory latency, used as the C-AMAT obstruction threshold T_mem.
+// AvgLatency returns the unloaded main-memory latency, the mean of a row
+// hit and a row miss plus one burst (110 cycles), used as the C-AMAT
+// obstruction threshold T_mem.
 func (d *DRAM) AvgLatency() float64 {
-	return float64((d.cfg.RowHit+d.cfg.RowMiss).Uint64())/2 + float64(d.cfg.Burst.Uint64())
+	return float64((dramRowHit+dramRowMiss).Uint64())/2 + float64(dramBurst.Uint64())
 }

@@ -7,33 +7,48 @@ import (
 	"chrome/internal/mem"
 )
 
+// TestDRAMTableV locks the DRAM model to Table V's DDR4-3200 timing at
+// 4 GHz, and T_mem, the C-AMAT obstruction threshold, to (50+150)/2 + 10.
+func TestDRAMTableV(t *testing.T) {
+	if dramChannels != 2 || dramBanks != 16 || 1<<dramRowShift != 128 {
+		t.Fatalf("geometry %d channels x %d banks, %d-block rows; Table V is 2 x 16, 128",
+			dramChannels, dramBanks, 1<<dramRowShift)
+	}
+	if dramRowHit != 50 || dramRowMiss != 150 || dramBurst != 10 {
+		t.Fatalf("timing row hit %d, row miss %d, burst %d; Table V is 50, 150, 10",
+			dramRowHit, dramRowMiss, dramBurst)
+	}
+	if got := NewDRAM().AvgLatency(); got != 110 {
+		t.Fatalf("T_mem = %v, want 110", got)
+	}
+}
+
 func TestDRAMRowHitVsMiss(t *testing.T) {
-	d := NewDRAM(DefaultDRAMConfig())
-	cfg := DefaultDRAMConfig()
+	d := NewDRAM()
 	first := d.Access(0x0, 0, false)
-	if first != cfg.RowMiss+cfg.Burst {
-		t.Fatalf("cold access latency %d, want %d", first, cfg.RowMiss+cfg.Burst)
+	if first != dramRowMiss+dramBurst {
+		t.Fatalf("cold access latency %d, want %d", first, dramRowMiss+dramBurst)
 	}
 	// Same row, same bank (block 32 -> channel 0, bank 0, row 0), idle
 	// channel: row hit.
 	second := d.Access(32*64, 10_000, false)
-	if second != cfg.RowHit+cfg.Burst {
-		t.Fatalf("row-hit latency %d, want %d", second, cfg.RowHit+cfg.Burst)
+	if second != dramRowHit+dramBurst {
+		t.Fatalf("row-hit latency %d, want %d", second, dramRowHit+dramBurst)
 	}
 	// The row's last block (96 + 32 = 128 blocks a row) hits too; the next
 	// row's first block, in the same bank, misses and opens its row.
 	for _, tc := range []struct {
 		blk  uint64
 		want mem.Cycle
-	}{{96, cfg.RowHit}, {cfg.RowBlocks, cfg.RowMiss}, {cfg.RowBlocks + 32, cfg.RowHit}, {0, cfg.RowMiss}} {
-		if got := d.Access(mem.Addr(tc.blk*64), 20_000, false); got != tc.want+cfg.Burst {
-			t.Fatalf("block %d: latency %d, want %d", tc.blk, got, tc.want+cfg.Burst)
+	}{{96, dramRowHit}, {1 << dramRowShift, dramRowMiss}, {1<<dramRowShift + 32, dramRowHit}, {0, dramRowMiss}} {
+		if got := d.Access(mem.Addr(tc.blk*64), 20_000, false); got != tc.want+dramBurst {
+			t.Fatalf("block %d: latency %d, want %d", tc.blk, got, tc.want+dramBurst)
 		}
 	}
 }
 
 func TestDRAMBandwidthQueueing(t *testing.T) {
-	d := NewDRAM(DefaultDRAMConfig())
+	d := NewDRAM()
 	// Flood one channel (block 0 and multiples of 2 share channel 0) in a
 	// single cycle window: later requests must see queueing delay.
 	var last mem.Cycle
@@ -48,20 +63,19 @@ func TestDRAMBandwidthQueueing(t *testing.T) {
 }
 
 func TestDRAMBacklogDrains(t *testing.T) {
-	d := NewDRAM(DefaultDRAMConfig())
+	d := NewDRAM()
 	for i := 0; i < 100; i++ {
 		d.Access(mem.Addr(i)*2*64, 0, false)
 	}
 	// Long after the burst, the channel must be idle again.
 	lat := d.Access(0x40, 1_000_000, false)
-	cfg := DefaultDRAMConfig()
-	if lat > cfg.RowMiss+cfg.Burst {
-		t.Fatalf("latency %d after drain, want unloaded %d", lat, cfg.RowMiss+cfg.Burst)
+	if lat > dramRowMiss+dramBurst {
+		t.Fatalf("latency %d after drain, want unloaded %d", lat, dramRowMiss+dramBurst)
 	}
 }
 
 func TestDRAMCountsReadsAndWrites(t *testing.T) {
-	d := NewDRAM(DefaultDRAMConfig())
+	d := NewDRAM()
 	d.Access(0x0, 0, false)
 	d.Access(0x40, 0, true)
 	d.Access(0x80, 0, true)
@@ -71,44 +85,21 @@ func TestDRAMCountsReadsAndWrites(t *testing.T) {
 }
 
 func TestDRAMAvgLatencyPositive(t *testing.T) {
-	d := NewDRAM(DefaultDRAMConfig())
+	d := NewDRAM()
 	if d.AvgLatency() <= 0 {
 		t.Fatal("average latency must be positive")
-	}
-}
-
-// TestDRAMValidation: Access masks and shifts the block number, so a
-// geometry that is not a power of two in every dimension is rejected.
-func TestDRAMValidation(t *testing.T) {
-	for _, bad := range []DRAMConfig{
-		{Channels: 0, BanksPerChannel: 4, RowBlocks: 128},
-		{Channels: 3, BanksPerChannel: 4, RowBlocks: 128},
-		{Channels: 2, BanksPerChannel: -4, RowBlocks: 128},
-		{Channels: 2, BanksPerChannel: 12, RowBlocks: 128},
-		{Channels: 2, BanksPerChannel: 4, RowBlocks: 0},
-		{Channels: 2, BanksPerChannel: 4, RowBlocks: 96},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("config %+v: expected a panic", bad)
-				}
-			}()
-			NewDRAM(bad)
-		}()
 	}
 }
 
 // Property: DRAM latency is always at least the unloaded row-hit latency
 // and monotone under increasing same-cycle load.
 func TestDRAMLatencyLowerBound(t *testing.T) {
-	cfg := DefaultDRAMConfig()
 	f := func(addrs []uint16, cycleSeed uint16) bool {
-		d := NewDRAM(cfg)
+		d := NewDRAM()
 		cycle := mem.CycleOf(uint64(cycleSeed))
 		for _, a := range addrs {
 			lat := d.Access(mem.Addr(a)<<6, cycle, false)
-			if lat < cfg.RowHit+cfg.Burst {
+			if lat < dramRowHit+dramBurst {
 				return false
 			}
 			cycle += 3

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"chrome/internal/cache"
@@ -115,21 +116,18 @@ func TestCoreCountMismatchPanics(t *testing.T) {
 	New(ScaledConfig(4), workload.HomogeneousMix(p, 1, 1_000), lruFactory)
 }
 
-// TestSlowerMemoryLowersIPC: sanity of the timing model — a much slower
-// DRAM must reduce IPC for a memory-bound workload.
-func TestSlowerMemoryLowersIPC(t *testing.T) {
-	run := func(rowMiss mem.Cycle) float64 {
-		p, _ := workload.ByName("mcf")
-		cfg := ScaledConfig(1)
-		cfg.DRAM.RowMiss = rowMiss
-		cfg.DRAM.RowHit = rowMiss / 3
-		sys := New(cfg, workload.HomogeneousMix(p, 1, 45_000), lruFactory)
-		return sys.Run(5_000, 40_000).IPC[0]
-	}
-	fast, slow := run(100), run(800)
-	if slow >= fast {
-		t.Fatalf("IPC with slow DRAM (%v) should be below fast DRAM (%v)", slow, fast)
-	}
+// TestTooManyCoresPanics: a schedKey numbers the cores in schedIDBits, so
+// the system refuses more cores than that before it builds anything. The
+// config has no cache geometry, so a system that got further would panic
+// in cache.New, with another message, and allocate nothing large.
+func TestTooManyCoresPanics(t *testing.T) {
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "cores, at most") {
+			t.Fatalf("panic %q, want the core-count bound", msg)
+		}
+	}()
+	const cores = 1<<schedIDBits + 1
+	New(Config{Cores: cores}, make([]trace.Generator, cores), lruFactory)
 }
 
 // eventCounter wraps an LLC policy and counts, from outside the cache, the

@@ -26,36 +26,34 @@ type PolicyFactory func(sets, ways, cores int, obstructed func(core mem.CoreID) 
 // PrefetcherFactory builds a prefetcher instance (one per core per level).
 type PrefetcherFactory func() prefetch.Prefetcher
 
-// Config describes a full system configuration.
+// The hierarchy's Table V timing: each level's hit latency in core cycles
+// and its MSHR entries.
+const (
+	l1Latency  mem.Cycle = 5
+	l1MSHRs              = 16
+	l2Latency  mem.Cycle = 10
+	l2MSHRs              = 48
+	llcLatency mem.Cycle = 40
+	llcMSHRs             = 64 // per core
+	// prefetchIssueMax bounds prefetch issues per demand access.
+	prefetchIssueMax = 8
+)
+
+// Config describes a system: its core count, its cache geometry and its
+// prefetchers. The core model (cpu.DefaultConfig), the latencies, the MSHR
+// files and the DRAM are Table V's and fixed.
 type Config struct {
 	Cores int
 
-	// Core model.
-	CPU cpu.Config
-
-	// L1 data cache (private, per core).
-	L1Sets, L1Ways int
-	L1Latency      mem.Cycle
-	L1MSHRs        int
-
-	// L2 cache (private, per core).
-	L2Sets, L2Ways int
-	L2Latency      mem.Cycle
-	L2MSHRs        int
-
-	// LLC (shared).
+	// L1 data cache and L2 (private, per core), and the shared LLC.
+	L1Sets, L1Ways   int
+	L2Sets, L2Ways   int
 	LLCSets, LLCWays int
-	LLCLatency       mem.Cycle
-	LLCMSHRs         int
-
-	DRAM DRAMConfig
 
 	// L1Prefetcher and L2Prefetcher build the per-core prefetchers
 	// (nil means no prefetching at that level).
 	L1Prefetcher PrefetcherFactory
 	L2Prefetcher PrefetcherFactory
-	// PrefetchQueueMax bounds prefetch issues per demand access.
-	PrefetchQueueMax int
 
 	// Deprecated: NoMono does nothing. The simulator has one cache chain;
 	// the field is kept only because bench/mix.go sets it.
@@ -65,7 +63,7 @@ type Config struct {
 // PaperConfig returns the Table V configuration for the given core count:
 // 48KB 12-way L1, 1.25MB 20-way L2, 3MB/core 12-way LLC.
 func PaperConfig(cores int) Config {
-	cfg := baseConfig(cores)
+	cfg := Config{Cores: cores}
 	cfg.L1Sets, cfg.L1Ways = 64, 12           // 48KB
 	cfg.L2Sets, cfg.L2Ways = 1024, 20         // 1.25MB (rounded to power-of-two sets)
 	cfg.LLCSets, cfg.LLCWays = 4096*cores, 12 // 3MB per core
@@ -77,32 +75,16 @@ func PaperConfig(cores int) Config {
 // 12-way LLC) so that the scaled instruction budgets exercise the LLC the
 // way the paper's 200M-instruction runs exercise a 3MB/core LLC.
 func ScaledConfig(cores int) Config {
-	cfg := baseConfig(cores)
+	cfg := Config{Cores: cores}
 	cfg.L1Sets, cfg.L1Ways = 32, 8           // 16KB
 	cfg.L2Sets, cfg.L2Ways = 256, 8          // 128KB
 	cfg.LLCSets, cfg.LLCWays = 512*cores, 12 // 384KB per core
 	return cfg
 }
 
-func baseConfig(cores int) Config {
-	return Config{
-		Cores:            cores,
-		CPU:              cpu.DefaultConfig(),
-		L1Latency:        5,
-		L1MSHRs:          16,
-		L2Latency:        10,
-		L2MSHRs:          48,
-		LLCLatency:       40,
-		LLCMSHRs:         64,
-		DRAM:             DefaultDRAMConfig(),
-		PrefetchQueueMax: 8,
-	}
-}
-
 // System is one assembled simulation instance. Every cache level is a
 // cache.Cache; the LLC's scheme sits behind its Policy hooks.
 type System struct {
-	cfg   Config
 	cores []*cpu.Core
 	l1    []*cache.Cache
 	l2    []*cache.Cache
@@ -124,9 +106,6 @@ type System struct {
 	// they keep the per-access path allocation-free.
 	pfBuf   []mem.Addr
 	l2pfBuf []mem.Addr
-
-	// sched is the scratch backing of runPhase's core min-heap.
-	sched []*cpu.Core
 }
 
 // New assembles a system running the LLC policy built by factory, with one
@@ -136,18 +115,21 @@ func New(cfg Config, gens []trace.Generator, factory PolicyFactory) *System {
 	if len(gens) != cfg.Cores {
 		panic(fmt.Sprintf("sim: %d generators for %d cores", len(gens), cfg.Cores))
 	}
-	s := &System{cfg: cfg, dram: NewDRAM(cfg.DRAM)}
+	if cfg.Cores > 1<<schedIDBits {
+		panic(fmt.Sprintf("sim: %d cores, at most %d", cfg.Cores, 1<<schedIDBits))
+	}
+	s := &System{dram: NewDRAM()}
 	s.mon = camat.New(cfg.Cores, s.dram.AvgLatency(), camat.DefaultEpochCycles)
 	pol := factory(cfg.LLCSets, cfg.LLCWays, cfg.Cores, s.mon.Obstructed)
 	s.llc = cache.New(cache.Config{Name: "LLC", Sets: cfg.LLCSets, Ways: cfg.LLCWays}, pol)
-	s.llcm = newMSHR(cfg.LLCMSHRs * cfg.Cores)
+	s.llcm = newMSHR(llcMSHRs * cfg.Cores)
 	l1Cfg := cache.Config{Name: "L1D", Sets: cfg.L1Sets, Ways: cfg.L1Ways}
 	l2Cfg := cache.Config{Name: "L2", Sets: cfg.L2Sets, Ways: cfg.L2Ways}
 	for i := 0; i < cfg.Cores; i++ {
 		s.l1 = append(s.l1, cache.New(l1Cfg, policy.NewLRU()))
 		s.l2 = append(s.l2, cache.New(l2Cfg, policy.NewLRU()))
-		s.l1m = append(s.l1m, newMSHR(cfg.L1MSHRs))
-		s.l2m = append(s.l2m, newMSHR(cfg.L2MSHRs))
+		s.l1m = append(s.l1m, newMSHR(l1MSHRs))
+		s.l2m = append(s.l2m, newMSHR(l2MSHRs))
 		if cfg.L1Prefetcher != nil {
 			s.l1pf = append(s.l1pf, cfg.L1Prefetcher())
 		} else {
@@ -158,10 +140,9 @@ func New(cfg Config, gens []trace.Generator, factory PolicyFactory) *System {
 		} else {
 			s.l2pf = append(s.l2pf, prefetch.NewNone())
 		}
-		core := cpu.New(mem.CoreIDOf(i), cfg.CPU, gens[i], s.memAccess)
+		core := cpu.New(mem.CoreIDOf(i), cpu.DefaultConfig(), gens[i], s.memAccess)
 		s.cores = append(s.cores, core)
 	}
-	s.sched = make([]*cpu.Core, 0, cfg.Cores)
 	return s
 }
 
@@ -198,7 +179,7 @@ func (s *System) l1Access(acc mem.Access) mem.Cycle {
 	core := acc.Core
 	l1 := s.l1[core]
 	res := l1.Access(acc)
-	latency := s.cfg.L1Latency
+	latency := l1Latency
 
 	if res.Hit {
 		// A hit on an in-flight fill (e.g. a just-issued prefetch) merges
@@ -207,7 +188,7 @@ func (s *System) l1Access(acc mem.Access) mem.Cycle {
 			latency = res.Block.ReadyAt - acc.Cycle
 		}
 	} else {
-		start := s.l1m[core].acquire(acc.Cycle + s.cfg.L1Latency)
+		start := s.l1m[core].acquire(acc.Cycle + l1Latency)
 		below := acc
 		below.Cycle = start
 		lowerLat := s.l2Access(below, true)
@@ -247,14 +228,14 @@ func (s *System) l2Access(acc mem.Access, demand bool) mem.Cycle {
 	core := acc.Core
 	l2 := s.l2[core]
 	res := l2.Access(acc)
-	latency := s.cfg.L2Latency
+	latency := l2Latency
 
 	if res.Hit {
 		if res.Block.ReadyAt > acc.Cycle+latency {
 			latency = res.Block.ReadyAt - acc.Cycle
 		}
 	} else {
-		start := s.l2m[core].acquire(acc.Cycle + s.cfg.L2Latency)
+		start := s.l2m[core].acquire(acc.Cycle + l2Latency)
 		below := acc
 		below.Cycle = start
 		lowerLat := s.llcAccess(below)
@@ -290,17 +271,17 @@ func (s *System) l2Access(acc mem.Access, demand bool) mem.Cycle {
 //chromevet:hot
 func (s *System) llcAccess(acc mem.Access) mem.Cycle {
 	res := s.llc.Access(acc)
-	latency := s.cfg.LLCLatency
+	latency := llcLatency
 	if res.Hit {
 		if res.Block.ReadyAt > acc.Cycle+latency {
 			latency = res.Block.ReadyAt - acc.Cycle
 		}
 	} else {
-		start := s.llcm.acquire(acc.Cycle + s.cfg.LLCLatency)
-		wait := start - (acc.Cycle + s.cfg.LLCLatency)
+		start := s.llcm.acquire(acc.Cycle + llcLatency)
+		wait := start - (acc.Cycle + llcLatency)
 		dramLat := s.dram.Access(acc.Addr, start, false)
 		s.llcm.commit(start + dramLat)
-		latency = s.cfg.LLCLatency + wait + dramLat
+		latency = llcLatency + wait + dramLat
 		if res.Block != nil {
 			res.Block.ReadyAt = acc.Cycle + latency
 		}
@@ -336,7 +317,7 @@ func (s *System) llcWriteback(wb mem.Access) {
 func (s *System) issuePrefetches(core mem.CoreID, trigger mem.Access, cands []mem.Addr, fromL1 bool) {
 	n := 0
 	for _, target := range cands {
-		if n >= s.cfg.PrefetchQueueMax {
+		if n >= prefetchIssueMax {
 			break
 		}
 		pf := mem.Access{
@@ -384,76 +365,49 @@ func (s *System) Run(warmup, measure mem.Instr) Result {
 	return res
 }
 
-// runPhase steps cores (smallest issue frontier first) until every core
-// has retired at least target instructions. It keeps the live cores in a
-// binary min-heap keyed on (cycle, core ID), turning each scheduling
-// decision from an O(cores) scan into an O(log cores) sift — the same
-// total order a linear scan for the earliest core produces (ties broken by
-// lowest core index). TestSchemeResultDigests pins the resulting
+// runPhase steps cores, earliest issue frontier first, until every core
+// has retired at least target instructions. Each turn makes one pass over
+// the cores for the earliest live one and the runner-up, by schedKey, then
+// steps the earliest until it finishes or passes the runner-up. Stepping a
+// core moves no other core's frontier, so each step goes to the core a
+// pass before it would pick. TestSchemeResultDigests pins the resulting
 // interleaving at 1, 4 and 16 cores.
 //
 //chromevet:hot
 func (s *System) runPhase(target mem.Instr) {
-	h := s.sched[:0]
-	for _, c := range s.cores {
-		if c.Instructions() < target {
-			h = append(h, c)
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
-	for len(h) > 0 {
-		c := h[0]
-		c.Step()
-		if c.Instructions() >= target {
-			last := len(h) - 1
-			h[0] = h[last]
-			h[last] = nil
-			h = h[:last]
-			if last == 0 {
-				break
+	const done = ^uint64(0) // the key of a core that has reached target
+	for {
+		first, second := done, done
+		for i, c := range s.cores {
+			k := done
+			if c.Instructions() < target {
+				k = schedKey(c.Cycle(), i)
 			}
+			first, second = min(first, k), min(second, max(first, k))
 		}
-		siftDown(h, 0)
+		if first == done {
+			return
+		}
+		i := int(first & (1<<schedIDBits - 1))
+		c := s.cores[i]
+		for c.Instructions() < target && schedKey(c.Cycle(), i) < second {
+			c.Step()
+		}
 	}
-	// Clear retained pointers so cores aren't pinned past the run.
-	s.sched = s.sched[:cap(s.sched)]
-	for i := range s.sched {
-		s.sched[i] = nil
-	}
-	s.sched = s.sched[:0]
 }
 
-// coreLess orders the scheduler heap: earliest cycle first, ties broken by
-// lowest core ID.
+// schedIDBits is the width of the core ID in a schedKey; New refuses more
+// cores than it can number.
+const schedIDBits = 16
+
+// schedKey orders the scheduler's cores, earliest cycle first and ties to
+// the lowest core ID, as one integer: the cycle above the core's ID, which
+// is its index in System.cores. It holds while cycles stay below 2^48,
+// about 19 simulated hours at 4 GHz.
 //
 //chromevet:hot
-func coreLess(a, b *cpu.Core) bool {
-	ca, cb := a.Cycle(), b.Cycle()
-	if ca != cb {
-		return ca < cb
-	}
-	return a.ID() < b.ID()
-}
-
-//chromevet:hot
-func siftDown(h []*cpu.Core, i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
-		}
-		m := l
-		if r := l + 1; r < len(h) && coreLess(h[r], h[l]) {
-			m = r
-		}
-		if !coreLess(h[m], h[i]) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
+func schedKey(cycle mem.Cycle, core int) uint64 {
+	return cycle.Uint64()<<schedIDBits | uint64(core)
 }
 
 // Result aggregates one run's measurements.
