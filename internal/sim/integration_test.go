@@ -116,6 +116,37 @@ func TestCoreCountMismatchPanics(t *testing.T) {
 	New(ScaledConfig(4), workload.HomogeneousMix(p, 1, 1_000), lruFactory)
 }
 
+// chase is a chain of dependent loads that touches a new block every
+// record, stride blocks past the last one, so every load misses every
+// cache level and main memory serves it.
+type chase struct{ stride, i uint64 }
+
+func (g *chase) Next() trace.Record {
+	g.i++
+	return trace.Record{PC: 1, Addr: mem.AddrOf(g.i * g.stride * mem.BlockSize), Dependent: true}
+}
+func (g *chase) Reset()       { g.i = 0 }
+func (g *chase) Name() string { return "chase" }
+
+// TestSlowerMemoryLowersIPC: sanity of the timing model — the same count
+// of serialized DRAM loads must run at a lower IPC when main memory serves
+// them slower. Consecutive blocks find their row open three times in four
+// (dramRowHit); a stride of one row opens a new row in the same bank every
+// time (dramRowMiss, three times as long).
+func TestSlowerMemoryLowersIPC(t *testing.T) {
+	run := func(stride uint64) Result {
+		sys := New(ScaledConfig(1), []trace.Generator{&chase{stride: stride}}, lruFactory)
+		return sys.Run(5_000, 20_000)
+	}
+	fast, slow := run(1), run(1<<dramRowShift)
+	if fast.DRAMReads != slow.DRAMReads {
+		t.Fatalf("DRAM reads %d (open rows) and %d (row misses) differ", fast.DRAMReads, slow.DRAMReads)
+	}
+	if slow.IPC[0] >= fast.IPC[0] {
+		t.Fatalf("IPC with row misses (%v) should be below open rows (%v)", slow.IPC[0], fast.IPC[0])
+	}
+}
+
 // TestTooManyCoresPanics: a schedKey numbers the cores in schedIDBits, so
 // the system refuses more cores than that before it builds anything. The
 // config has no cache geometry, so a system that got further would panic
